@@ -304,6 +304,8 @@ def load_dataset(root) -> list[TimeLapseScene]:
                 t_frames, seed = int(t_str), int(seed_str)
             except ValueError:
                 raise DatasetError(f"manifest line {lineno}: non-integer fields in {line!r}") from None
+            if t_frames < 2:
+                raise DatasetError(f"manifest line {lineno}: scene {scene_id} has {t_frames} frame(s); need at least 2")
             scene_dir = os.path.join(root, "scenes", scene_id)
             background = read_ppm(os.path.join(scene_dir, "bg.ppm"))
             frames = [read_ppm(os.path.join(scene_dir, f"frame_{t}.ppm")) for t in range(t_frames)]

@@ -120,9 +120,6 @@ class DerainModel:
         params["final.bias"] = self.final.bias
         return params
 
-    def param_count(self) -> int:
-        return sum(t.size for t in self.parameters().values())
-
     def zero_grad(self) -> None:
         for t in self.parameters().values():
             t.grad = None

@@ -23,15 +23,11 @@ __all__ = [
     "sub",
     "mul",
     "div",
-    "elementwise",
     "absolute",
     "relu",
     "sigmoid",
-    "softplus",
     "clamp",
-    "activation",
     "softmax_axis",
-    "reduce",
     "reduce_sum",
     "reduce_mean",
     "vector_l2",
@@ -82,31 +78,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Small operator sugar; everything routes through the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 class Graph:
     """Tape of executed operations, in execution (topological) order.
@@ -128,10 +99,6 @@ class Graph:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    @property
-    def consumed(self) -> bool:
-        return self._consumed
 
 
 _GRAPH_STACK: list[Graph] = []
@@ -186,28 +153,30 @@ def backward(loss: Tensor, graph: Graph) -> None:
             tensor.grad += g
 
 
-def finite_diff_grad(f: Callable[[Tensor], "Tensor | float"], x: Tensor, h: float = 1e-6) -> Tensor:
+def finite_diff_grad(f: Callable[[Tensor], "Tensor | float"], x: Tensor, h: float = 1e-6, coords=None) -> np.ndarray:
     """Central-difference gradient of a scalar-valued ``f`` at ``x``.
 
-    Independent oracle for gradient checks: evaluates f coordinate by
-    coordinate with recording suspended, so it never touches the tape.
+    Independent oracle for gradient checks: perturbs ``x.data`` in place one
+    flat coordinate at a time, evaluates ``f(x)`` with recording suspended so
+    it never touches the tape, and restores every value it moved. Returns the
+    full gradient shaped like ``x``, or, given flat ``coords``, one derivative
+    per coordinate.
     """
     if h <= 0:
         raise ValueError("finite difference step must be positive")
-    work = x.data.copy()
-    probe = Tensor(work)  # shares the working buffer on purpose
-    wflat = work.reshape(-1)
-    grad = np.zeros_like(wflat)
+    flat = x.data.reshape(-1)  # a view: Tensor data is C-contiguous
+    probe = range(flat.size) if coords is None else coords
+    grad = np.zeros(len(probe))
     with no_recording():
-        for i in range(wflat.size):
-            orig = wflat[i]
-            wflat[i] = orig + h
-            fp = _scalar(f(probe))
-            wflat[i] = orig - h
-            fm = _scalar(f(probe))
-            wflat[i] = orig
-            grad[i] = (fp - fm) / (2.0 * h)
-    return Tensor(grad.reshape(x.shape))
+        for n, i in enumerate(probe):
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = _scalar(f(x))
+            flat[i] = orig - h
+            fm = _scalar(f(x))
+            flat[i] = orig
+            grad[n] = (fp - fm) / (2.0 * h)
+    return grad.reshape(x.shape) if coords is None else grad
 
 
 def _scalar(value) -> float:
@@ -265,18 +234,6 @@ def div(a, b) -> Tensor:
     )
 
 
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul, "div": div}
-
-
-def elementwise(a, b, kind: str) -> Tensor:
-    """Elementwise binary op on identically shaped tensors (scalars broadcast)."""
-    try:
-        op = _ELEMENTWISE[kind]
-    except KeyError:
-        raise ValueError(f"unknown elementwise kind {kind!r}") from None
-    return op(a, b)
-
-
 def _unary(x, fwd, make_vjp) -> Tensor:
     x = _as_tensor(x)
     out = Tensor(fwd(x.data), x.requires_grad)
@@ -307,10 +264,6 @@ def sigmoid(x) -> Tensor:
     return _unary(x, _sigmoid_values, lambda xd, od: lambda g: g * od * (1.0 - od))
 
 
-def softplus(x) -> Tensor:
-    return _unary(x, lambda xd: np.logaddexp(0.0, xd), lambda xd, od: lambda g: g * _sigmoid_values(xd))
-
-
 def clamp(x, lo: float = -1.0, hi: float = 1.0) -> Tensor:
     # derivative 1 on [lo, hi], 0 outside
     return _unary(
@@ -318,19 +271,6 @@ def clamp(x, lo: float = -1.0, hi: float = 1.0) -> Tensor:
         lambda xd: np.clip(xd, lo, hi),
         lambda xd, od: lambda g: g * ((xd >= lo) & (xd <= hi)),
     )
-
-
-def activation(x, kind: str) -> Tensor:
-    """Elementwise nonlinearity: relu, sigmoid, softplus, or clamp to [-1, 1]."""
-    if kind == "relu":
-        return relu(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "softplus":
-        return softplus(x)
-    if kind == "clamp":
-        return clamp(x)
-    raise ValueError(f"unknown activation kind {kind!r}")
 
 
 def softmax_axis(x, axis: int) -> Tensor:
@@ -355,10 +295,8 @@ def _check_axis(axis: int, ndim: int, name: str) -> int:
     return axis % ndim
 
 
-def reduce(x, kind: str, axes: Sequence[int] | None = None) -> Tensor:
+def _reduce(x, axes: Sequence[int] | None, mean: bool) -> Tensor:
     """Sum or mean over the given axes (all axes when None)."""
-    if kind not in ("sum", "mean"):
-        raise ValueError(f"unknown reduce kind {kind!r}")
     x = _as_tensor(x)
     ndim = x.data.ndim
     if axes is None:
@@ -368,16 +306,13 @@ def reduce(x, kind: str, axes: Sequence[int] | None = None) -> Tensor:
         if len(set(norm_axes)) != len(norm_axes):
             raise ValueError(f"reduce: duplicate axes {tuple(axes)}")
     count = int(np.prod([x.shape[a] for a in norm_axes])) if norm_axes else 1
-    if kind == "sum":
-        data = x.data.sum(axis=norm_axes)
-    else:
-        data = x.data.mean(axis=norm_axes)
+    data = x.data.mean(axis=norm_axes) if mean else x.data.sum(axis=norm_axes)
     out = Tensor(data, x.requires_grad)
 
     def vjp(g):
         expanded = np.expand_dims(g, norm_axes) if norm_axes else g
         full = np.broadcast_to(expanded, x.shape).copy()
-        if kind == "mean":
+        if mean:
             full /= count
         return (full,)
 
@@ -385,11 +320,11 @@ def reduce(x, kind: str, axes: Sequence[int] | None = None) -> Tensor:
 
 
 def reduce_sum(x, axes: Sequence[int] | None = None) -> Tensor:
-    return reduce(x, "sum", axes)
+    return _reduce(x, axes, mean=False)
 
 
 def reduce_mean(x, axes: Sequence[int] | None = None) -> Tensor:
-    return reduce(x, "mean", axes)
+    return _reduce(x, axes, mean=True)
 
 
 def vector_l2(x, axis: int) -> Tensor:

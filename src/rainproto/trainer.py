@@ -130,8 +130,13 @@ def sample_pair(dataset: list[TimeLapseScene], rng: np.random.Generator):
     return scene.frames[w], scene.frames[v], scene.scene_id
 
 
-def _pair_terms(model: DerainModel, frame_w: np.ndarray, frame_v: np.ndarray, cfg: TrainConfig):
-    """Loss terms for one pair; frame-level terms are averaged over both frames."""
+def pair_terms(model: DerainModel, frame_w: np.ndarray, frame_v: np.ndarray, loss_cfg: LossConfig):
+    """The training objective's terms for one pair of [0, 1] frames of a scene.
+
+    Returns (coh, div, b, c, s) for :func:`losses.total_loss`; the per-frame
+    terms are averaged over both frames. Training and the end-to-end gradient
+    check both evaluate the objective through this function.
+    """
     x_w = normalize(frame_w)
     x_v = normalize(frame_v)
     out_w = derain(model, x_w)
@@ -156,8 +161,8 @@ def _pair_terms(model: DerainModel, frame_w: np.ndarray, frame_v: np.ndarray, cf
     )
     divergence = nm.mul(
         nm.add(
-            ls.divergence_loss(out_w.prototypes, cfg.loss.delta),
-            ls.divergence_loss(out_v.prototypes, cfg.loss.delta),
+            ls.divergence_loss(out_w.prototypes, loss_cfg.delta),
+            ls.divergence_loss(out_v.prototypes, loss_cfg.delta),
         ),
         0.5,
     )
@@ -181,7 +186,7 @@ def train_step(model: DerainModel, opt: AdamOptimizer, pairs, cfg: TrainConfig) 
         with graph:
             per_term: list[list[Tensor]] = [[], [], [], [], []]
             for frame_w, frame_v, _ in pairs:
-                for bucket, term in zip(per_term, _pair_terms(model, frame_w, frame_v, cfg)):
+                for bucket, term in zip(per_term, pair_terms(model, frame_w, frame_v, cfg.loss)):
                     bucket.append(term)
             total, report = ls.total_loss(*(_mean_terms(bucket) for bucket in per_term), cfg.loss)
         model.zero_grad()
@@ -307,31 +312,60 @@ def _parse_kv(line: str, prefix: str) -> dict[str, str]:
 
 
 def load_checkpoint(path) -> tuple[DerainModel, AdamOptimizer]:
-    """Rebuild the model and optimizer saved by :func:`save_checkpoint`."""
+    """Rebuild the model and optimizer saved by :func:`save_checkpoint`.
+
+    A malformed header raises :class:`CheckpointError`, whatever field it hits.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(CHECKPOINT_MAGIC):
         raise CheckpointError(f"bad checkpoint magic in {path!r}")
-    body = blob[len(CHECKPOINT_MAGIC) :]
     try:
-        header_end = _find_data_line(body)
-    except ValueError as exc:
-        raise CheckpointError(str(exc)) from None
+        cfg, adam_fields, arrays = _parse_checkpoint(blob[len(CHECKPOINT_MAGIC) :])
+    except CheckpointError:
+        raise
+    except (ValueError, KeyError, IndexError) as exc:  # UnicodeDecodeError is a ValueError
+        raise CheckpointError(f"malformed checkpoint header: {exc!r}") from None
+
+    model = build_model(cfg)
+    params = model.parameters()
+    opt = AdamOptimizer(params, beta1=adam_fields["beta1"], beta2=adam_fields["beta2"], eps=adam_fields["eps"])
+    opt.step_count = adam_fields["step"]
+    for name, p in params.items():
+        for kind, target in (("param", None), ("adam.m", opt.m), ("adam.v", opt.v)):
+            key = f"{kind}.{name}"
+            if key not in arrays:
+                raise CheckpointError(f"checkpoint is missing tensor {key}")
+            if arrays[key].shape != p.data.shape:
+                raise CheckpointError(
+                    f"shape mismatch for {key}: manifest {arrays[key].shape}, model {p.data.shape}"
+                )
+            if target is None:
+                p.data = arrays[key]
+            else:
+                target[name] = arrays[key]
+    if len(arrays) != 3 * len(params):
+        raise CheckpointError("checkpoint contains tensors unknown to this architecture")
+    return model, opt
+
+
+def _parse_checkpoint(body: bytes) -> tuple[ModelConfig, dict, dict[str, np.ndarray]]:
+    """Model config, Adam fields and named arrays from everything after the magic line."""
+    header_end = _find_data_line(body)
     lines = body[:header_end].decode("ascii").splitlines()
     cfg_fields = _parse_kv(lines[0], "config")
-    adam_fields = _parse_kv(lines[1], "adam")
-    try:
-        cfg = ModelConfig(
-            input_size=(int(cfg_fields["input_h"]), int(cfg_fields["input_w"])),
-            base_channels=int(cfg_fields["base_channels"]),
-            depth=int(cfg_fields["depth"]),
-            rspu_channels=int(cfg_fields["rspu_channels"]),
-            prototype_count=int(cfg_fields["prototype_count"]),
-            rspu_placement=cfg_fields["rspu_placement"],
-            seed=int(cfg_fields["seed"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"invalid config line: {exc}") from None
+    raw_adam = _parse_kv(lines[1], "adam")
+    cfg = ModelConfig(
+        input_size=(int(cfg_fields["input_h"]), int(cfg_fields["input_w"])),
+        base_channels=int(cfg_fields["base_channels"]),
+        depth=int(cfg_fields["depth"]),
+        rspu_channels=int(cfg_fields["rspu_channels"]),
+        prototype_count=int(cfg_fields["prototype_count"]),
+        rspu_placement=cfg_fields["rspu_placement"],
+        seed=int(cfg_fields["seed"]),
+    )
+    adam_fields = {key: float(raw_adam[key]) for key in ("beta1", "beta2", "eps")}
+    adam_fields["step"] = int(raw_adam["step"])
     count_parts = lines[2].split()
     if len(count_parts) != 2 or count_parts[0] != "tensors" or not count_parts[1].isdigit():
         raise CheckpointError(f"malformed tensors line {lines[2]!r}")
@@ -355,32 +389,7 @@ def load_checkpoint(path) -> tuple[DerainModel, AdamOptimizer]:
         if offset + nbytes > data_bytes:
             raise CheckpointError(f"manifest entry {name} overruns the data section")
         arrays[name] = np.frombuffer(data, dtype="<f8", count=int(np.prod(shape)), offset=offset).reshape(shape).copy()
-
-    model = build_model(cfg)
-    params = model.parameters()
-    opt = AdamOptimizer(
-        params,
-        beta1=float(adam_fields["beta1"]),
-        beta2=float(adam_fields["beta2"]),
-        eps=float(adam_fields["eps"]),
-    )
-    opt.step_count = int(adam_fields["step"])
-    for name, p in params.items():
-        for kind, target in (("param", None), ("adam.m", opt.m), ("adam.v", opt.v)):
-            key = f"{kind}.{name}"
-            if key not in arrays:
-                raise CheckpointError(f"checkpoint is missing tensor {key}")
-            if arrays[key].shape != p.data.shape:
-                raise CheckpointError(
-                    f"shape mismatch for {key}: manifest {arrays[key].shape}, model {p.data.shape}"
-                )
-            if target is None:
-                p.data = arrays[key]
-            else:
-                target[name] = arrays[key]
-    if len(arrays) != 3 * len(params):
-        raise CheckpointError("checkpoint contains tensors unknown to this architecture")
-    return model, opt
+    return cfg, adam_fields, arrays
 
 
 def _find_data_line(body: bytes) -> int:
@@ -389,7 +398,7 @@ def _find_data_line(body: bytes) -> int:
     while True:
         nl = body.find(b"\n", pos)
         if nl < 0:
-            raise ValueError("truncated checkpoint header")
+            raise CheckpointError("truncated checkpoint header")
         line = body[pos : nl]
         if line.startswith(b"data "):
             return nl + 1

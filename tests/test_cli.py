@@ -124,6 +124,17 @@ class TestTrain:
         assert code == 2
         assert "16x16" in err
 
+    def test_single_frame_scene_is_data_error(self, capsys, tmp_path):
+        data = tmp_path / "one_frame"
+        scene = dt.gen_scene(0, 32, 2, dt.RAIN_PRESETS["light"])
+        write_dataset([scene], data)
+        (data / "manifest.txt").write_text(f"{scene.scene_id} 1 0\n")
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(tmp_path / "m.ckpt"),
+                           "--steps", "1")
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "at least 2" in err
+
 
 class TestDerain:
     def test_identity_checkpoint_reproduces_input(self, capsys, dataset_dir, untrained_ckpt, tmp_path):
@@ -170,6 +181,17 @@ class TestDerain:
                            "--out-clean", str(tmp_path / "c.ppm"), "--out-rain", str(tmp_path / "r.ppm"))
         assert code == 2
         assert err.startswith("error:")
+
+    def test_non_ascii_header_is_data_error(self, capsys, dataset_dir, untrained_ckpt, tmp_path):
+        raw = untrained_ckpt.read_bytes()
+        at = raw.index(b"config ") + len(b"config ")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:at] + b"\xff" + raw[at + 1 :])
+        src = dataset_dir / "scenes" / "scene_000002" / "frame_0.ppm"
+        code, _, err = run(capsys, "derain", "--ckpt", str(bad), "--in", str(src),
+                           "--out-clean", str(tmp_path / "c.ppm"), "--out-rain", str(tmp_path / "r.ppm"))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestEval:

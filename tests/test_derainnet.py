@@ -60,7 +60,7 @@ class TestBuildModel:
         assert any(not np.array_equal(p1[n].data, p2[n].data) for n in p1)
 
     def test_desk_parameter_count_under_budget(self):
-        assert desk_model().param_count() < 100_000
+        assert sum(t.size for t in desk_model().parameters().values()) < 100_000
 
     def test_depth_zero_is_single_block(self):
         cfg = ModelConfig(input_size=(16, 16), base_channels=8, depth=0, rspu_channels=8, prototype_count=2)

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from rainproto import data as dt
-from rainproto.derainnet import build_model, desk_model_config
+from rainproto.derainnet import ModelConfig, build_model, desk_model_config
 from rainproto.trainer import (
+    CHECKPOINT_MAGIC,
     AdamOptimizer,
     CheckpointError,
     TrainConfig,
@@ -165,6 +168,13 @@ class TestTrain:
         totals = [r.total for r in history]
         np.testing.assert_allclose(totals, GOLDEN_TOTALS_SEED11, rtol=0, atol=1e-9)
 
+    def test_golden_checkpoint_bytes(self, tiny_dataset, tmp_path):
+        # bit-level tripwire: any last-bit change in the objective, the
+        # backward pass or Adam changes the written parameters
+        path = tmp_path / "golden.ckpt"
+        train(tiny_dataset, tiny_config(steps=4, seed=11), checkpoint_path=path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHECKPOINT_SHA256_SEED11
+
     def test_resume_reproduces_uninterrupted_run(self, tiny_dataset, tmp_path):
         cfg = tiny_config(steps=6, seed=13)
         _, full_history = train(tiny_dataset, cfg)
@@ -248,6 +258,29 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_header_byte_fuzz_raises_only_checkpoint_error(self, tmp_path):
+        # every header byte after the magic, set to 0xff, '0', ' ' and '\n';
+        # a mutant may still load (there is no payload digest), but it must
+        # never escape as anything but CheckpointError
+        cfg = ModelConfig(input_size=(8, 8), base_channels=2, depth=1, rspu_channels=2, prototype_count=2)
+        model = build_model(cfg)
+        path = tmp_path / "small.ckpt"
+        save_checkpoint(model, AdamOptimizer(model.parameters()), path)
+        raw = path.read_bytes()
+        header_end = raw.index(b"\n", raw.index(b"\ndata ") + 1) + 1
+        mutant = tmp_path / "mutant.ckpt"
+        rejected = 0
+        for i in range(len(CHECKPOINT_MAGIC), header_end):
+            for value in b"\xff0 \n":
+                if raw[i] == value:
+                    continue
+                mutant.write_bytes(raw[:i] + bytes([value]) + raw[i + 1 :])
+                try:
+                    load_checkpoint(mutant)
+                except CheckpointError:
+                    rejected += 1
+        assert rejected > 4000
+
 
 GOLDEN_TOTALS_SEED11 = [
     0.5081933781634983,
@@ -255,3 +288,4 @@ GOLDEN_TOTALS_SEED11 = [
     0.531188229462469,
     0.49976672374162073,
 ]
+GOLDEN_CHECKPOINT_SHA256_SEED11 = "fb3c906a4d7f6d7ef51fe6c9ad9087a3e7b3611193630f781ef19a8bc27ddc6d"
