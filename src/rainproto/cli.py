@@ -183,8 +183,34 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _available_memory_bytes() -> int | None:
+    """MemAvailable of /proc/meminfo, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _check_train_memory(cfg: tr.TrainConfig) -> None:
+    """Refuse a run whose taped batch cannot fit, rather than be OOM-killed in it."""
+    need = 2 * cfg.batch_size * dn.taped_frame_bytes(cfg.model)
+    have = _available_memory_bytes()
+    if have is not None and need > have:
+        h, w = cfg.model.input_size
+        raise TrainingError(
+            f"training {cfg.batch_size} pair(s) of {h}x{w} frames per step needs an estimated "
+            f"{need / 2**30:.1f} GiB but {have / 2**30:.1f} GiB is available; "
+            f"lower --batch-size or --input-size"
+        )
+
+
 def _cmd_train(args) -> int:
     cfg = _resolve_train_config(args)
+    _check_train_memory(cfg)
     dataset = dt.load_dataset(args.data)
     shape = dataset[0].frames[0].shape
     if shape[:2] != cfg.model.input_size:

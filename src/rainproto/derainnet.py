@@ -82,6 +82,36 @@ def paper_model_config(seed: int = 0) -> ModelConfig:
     )
 
 
+def taped_frame_bytes(model: ModelConfig) -> int:
+    """Estimated bytes that one taped frame keeps alive until backward ends.
+
+    Counts the im2col patches each 3x3 convolution keeps for its kernel
+    gradient, and each per-pixel activation (RSPU arrays included) twice: its
+    value and its gradient. The interpreter, the dataset and the temporaries of
+    backward come on top.
+    """
+    h, w = model.input_size
+    chans = model.stage_channels
+    patches = acts = 0
+    cin = 3
+    for i, c in enumerate(chans):  # two conv + relu per stage, then a pool
+        px = (h >> i) * (w >> i)
+        patches += px * 9 * (cin + c)
+        acts += px * 4 * c + (px * c // 4 if i < model.depth else 0)
+        cin = c
+    px = (h >> model.depth) * (w >> model.depth)
+    # RSPU: 7 arrays of one score per head, then readout, fusion and cohesion's two
+    acts += px * (7 * model.prototype_count + 4 * model.feature_channels)
+    for stage in range(model.depth, 0, -1):  # upsample, concat, conv + relu
+        px = (h >> (stage - 1)) * (w >> (stage - 1))
+        c_s, c_out = chans[stage - 1], chans[max(stage - 2, 0)]
+        patches += px * 9 * 2 * c_s
+        acts += px * (3 * c_s + 2 * c_out)
+    patches += h * w * 9 * chans[0]
+    acts += h * w * 3 * 10  # final conv, y_hat and the consistency losses
+    return 8 * (patches + 2 * acts)
+
+
 @dataclass
 class ConvLayer:
     kernel: Tensor

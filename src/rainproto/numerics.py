@@ -445,23 +445,52 @@ def _pad_hw(x: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
     return np.pad(x, ((pad_h, pad_h), (pad_w, pad_w), (0, 0)))
 
 
-def _im2col(padded: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Extract stride-spaced kh x kw patches: [H', W', kh, kw, C]."""
+def _windows(padded: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Stride-spaced kh x kw patches as a view of ``padded``: [H', W', kh, kw, C]."""
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(0, 1))
-    windows = windows[::stride, ::stride]  # [H', W', C, kh, kw]
-    return np.ascontiguousarray(windows.transpose(0, 1, 3, 4, 2))
+    return windows[::stride, ::stride].transpose(0, 1, 3, 4, 2)
 
 
 def _conv_out_size(size: int, k: int, pad: int, stride: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-def _conv_forward(xd: np.ndarray, kd: np.ndarray, stride: int, pad: int):
+# Bytes of patch matrix built at a time when no backward pass will read it.
+# Blocks this large stay far above the GEMMs (M*N*K <= 1e6) that OpenBLAS
+# hands to its small-matrix kernel, whose sums differ in the last bits.
+_BLOCK_BYTES = 32 << 20
+
+
+def _conv_forward(xd: np.ndarray, kd: np.ndarray, stride: int, pad: int, keep_patches: bool):
+    """im2col convolution; returns the output and, if ``keep_patches``, the patches.
+
+    A patch matrix that nothing keeps and that exceeds ``_BLOCK_BYTES`` is
+    built a block of whole output rows at a time in one reused buffer, each
+    block's GEMM writing straight into the output. Splitting a GEMM by rows
+    keeps the order of every output's sum, so the output is the same, bit for
+    bit, as that of the one GEMM over all patches.
+    """
     kh, kw, cin, cout = kd.shape
-    patches = _im2col(_pad_hw(xd, pad, pad), kh, kw, stride)
-    oh, ow = patches.shape[:2]
-    out = patches.reshape(oh * ow, kh * kw * cin) @ kd.reshape(kh * kw * cin, cout)
-    return out.reshape(oh, ow, cout), patches
+    windows = _windows(_pad_hw(xd, pad, pad), kh, kw, stride)
+    oh, ow = windows.shape[:2]
+    k = kh * kw * cin
+    kmat = kd.reshape(k, cout)
+    blocks = min(oh, -(-oh * ow * k * windows.itemsize // _BLOCK_BYTES))
+    # one block, or a view that is already the patch matrix (1x1, stride 1,
+    # no padding): a copy into a buffer would only cost time
+    if keep_patches or blocks == 1 or windows.flags.c_contiguous:
+        patches = np.ascontiguousarray(windows)
+        out = patches.reshape(oh * ow, k) @ kmat
+        return out.reshape(oh, ow, cout), patches if keep_patches else None
+    # even bounds: block heights differ by at most one row
+    bounds = [oh * i // blocks for i in range(blocks + 1)]
+    buf = np.empty((-(-oh // blocks), ow, kh, kw, cin))
+    out = np.empty((oh, ow, cout))
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        rows = buf[: r1 - r0]
+        np.copyto(rows, windows[r0:r1])
+        np.matmul(rows.reshape(-1, k), kmat, out=out[r0:r1].reshape(-1, cout))
+    return out, None
 
 
 def _conv_vjp_kernel(patches: np.ndarray, g: np.ndarray, kshape) -> np.ndarray:
@@ -509,9 +538,10 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         if bias.shape != (cout,):
             raise ValueError(f"conv2d: bias shape {bias.shape} does not match {cout} output channels")
 
-    out_data, patches = _conv_forward(x.data, kernel.data, stride, padding)
+    keep_patches = kernel.requires_grad and _active_graph() is not None
+    out_data, patches = _conv_forward(x.data, kernel.data, stride, padding, keep_patches)
     if bias is not None:
-        out_data = out_data + bias.data
+        out_data += bias.data
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
     out = Tensor(out_data, any(t.requires_grad for t in inputs))
 
@@ -552,10 +582,10 @@ def conv_transpose2d(x, kernel) -> Tensor:
     out = Tensor(out_data, x.requires_grad or kernel.requires_grad)
 
     def vjp(g):
-        gx = _conv_forward(g, kernel.data, stride, pad_h)[0] if x.requires_grad else None
+        gx = _conv_forward(g, kernel.data, stride, pad_h, keep_patches=False)[0] if x.requires_grad else None
         gk = None
         if kernel.requires_grad:
-            patches = _im2col(_pad_hw(g, pad_h, pad_w), kh, kw, stride)
+            patches = np.ascontiguousarray(_windows(_pad_hw(g, pad_h, pad_w), kh, kw, stride))
             gk = _conv_vjp_kernel(patches, x.data, kernel.shape)
         return gx, gk
 

@@ -1,7 +1,9 @@
-"""Independent scalar-loop reference for the prototype unit.
+"""Independent references for the prototype unit and the convolution.
 
-Implements the weight/prototype/relevance/readout chain with plain Python
-loops and math.exp, sharing nothing with the tensor path it checks.
+The prototype unit's weight/prototype/relevance/readout chain is written with
+plain Python loops and math.exp, sharing nothing with the tensor path it
+checks. The convolution reference is im2col with one GEMM over the whole patch
+matrix, the forward pass that ``numerics.conv2d`` splits into row blocks.
 """
 
 import math
@@ -56,3 +58,14 @@ def rspu_reference(x: np.ndarray, bank_weight: np.ndarray, bank_bias: np.ndarray
                 acc += relevance[ki, mi] * prototypes[mi, ci]
             fused[ki, ci] = acc
     return fused.reshape(h, w, c), prototypes, relevance
+
+
+def conv2d_reference(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """Correlation of [H, W, Cin] with [kh, kw, Cin, Cout] as one im2col GEMM."""
+    kh, kw, cin, cout = kernel.shape
+    padded = np.pad(x, ((padding, padding), (padding, padding), (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(0, 1))[::stride, ::stride]
+    patches = np.ascontiguousarray(windows.transpose(0, 1, 3, 4, 2))  # [H', W', kh, kw, Cin]
+    oh, ow = patches.shape[:2]
+    out = patches.reshape(oh * ow, kh * kw * cin) @ kernel.reshape(kh * kw * cin, cout)
+    return out.reshape(oh, ow, cout)

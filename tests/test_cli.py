@@ -1,5 +1,8 @@
+import dataclasses
 import filecmp
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from rainproto import data as dt
 from rainproto import trainer as tr
 from rainproto.cli import _resolve_train_config
 from rainproto.data import read_ppm, write_dataset, write_ppm
-from rainproto.derainnet import build_model, desk_model_config
+from rainproto.derainnet import build_model, desk_model_config, taped_frame_bytes
 
 
 def run(capsys, *argv):
@@ -134,6 +137,42 @@ class TestTrain:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
         assert "at least 2" in err
+
+
+class TestTrainMemoryPreflight:
+    def test_paper_preset_is_refused(self, capsys, monkeypatch, dataset_dir, tmp_path):
+        monkeypatch.setattr(cli, "_available_memory_bytes", lambda: 8 * 2**30)
+        ckpt = tmp_path / "m.ckpt"
+        code, _, err = run(capsys, "train", "--data", str(dataset_dir), "--out", str(ckpt), "--preset", "paper")
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert re.search(r"estimated \d+\.\d GiB", err) and "8.0 GiB is available" in err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("available", [256 * 2**20, None])
+    def test_desk_preset_is_never_refused(self, capsys, monkeypatch, dataset_dir, tmp_path, available):
+        monkeypatch.setattr(cli, "_available_memory_bytes", lambda: available)
+        code, _, err = run(capsys, "train", "--data", str(dataset_dir), "--out", str(tmp_path / "m.ckpt"),
+                           "--steps", "1")
+        assert code == 0, err
+
+    @pytest.mark.parametrize("preset,size,batch", [("desk", 32, 4), ("paper", 32, 1)])
+    def test_estimate_is_most_of_a_measured_step(self, preset, size, batch):
+        base = tr.desk_train_config() if preset == "desk" else tr.paper_train_config()
+        cfg = dataclasses.replace(base, batch_size=batch,
+                                  model=dataclasses.replace(base.model, input_size=(size, size)))
+        scenes = [dt.gen_scene(s, size, 2, dt.RAIN_PRESETS["medium"]) for s in range(2)]
+        model = build_model(cfg.model)
+        opt = tr.AdamOptimizer(model.parameters())
+        pairs = [tr.sample_pair(scenes, np.random.default_rng(i)) for i in range(batch)]
+        tracemalloc.start()
+        try:
+            tr.train_step(model, opt, pairs, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = 2 * batch * taped_frame_bytes(cfg.model)
+        assert 0.6 * peak < estimate < peak
 
 
 class TestDerain:

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,21 @@ class TestDerain:
         out = derain(model, rand_input(12))
         digest = hashlib.sha256(out.r_hat.data.tobytes()).hexdigest()
         assert digest == GOLDEN_RHAT_SHA256
+
+
+class TestPaperSizeMemory:
+    def test_untaped_derain_peak_stays_below_five_feature_maps(self):
+        # untaped convolutions build their 9*C-wide patch matrix in row blocks;
+        # one whole patch matrix alone would be 9 feature maps
+        model = build_model(paper_model_config(seed=0))
+        x = Tensor(np.random.default_rng(0).uniform(-1, 1, (256, 256, 3)))
+        tracemalloc.start()
+        try:
+            out = derain(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * out.features.data.nbytes
 
 
 class TestEndToEndGradients:

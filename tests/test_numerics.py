@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import conv2d_reference
 from rainproto import numerics as nm
 from rainproto.gradcheck import _elementary_checks
 from rainproto.numerics import Graph, Tensor, backward, finite_diff_grad
@@ -93,6 +94,72 @@ class TestConvTranspose2d:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             nm.conv_transpose2d(rand((2, 2, 3), 15), rand((3, 3, 2, 4), 16))
+
+
+class TestBlockedConv:
+    """Untaped convolutions build their patch matrix in row blocks; the
+    reference is im2col with one GEMM over all patches."""
+
+    def test_small_blocks_match_oracle_over_random_shapes(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            kh = int(rng.choice([1, 3]))
+            stride, padding = int(rng.integers(1, 3)), int(rng.integers(0, 2))
+            h, w = (int(v) for v in rng.integers(kh + 2, 14, size=2))
+            cin, cout = int(rng.choice([1, 3, 5, 7])), int(rng.choice([1, 2, 3, 5]))
+            x = rng.uniform(-1, 1, (h, w, cin))
+            k = rng.uniform(-1, 1, (kh, kh, cin, cout))
+            b = rng.uniform(-1, 1, cout)
+            expected = conv2d_reference(x, k, stride, padding) + b
+            # a budget of a fraction of the patch matrix: several blocks, uneven heights
+            patch_bytes = expected.shape[0] * expected.shape[1] * kh * kh * cin * 8
+            monkeypatch.setattr(nm, "_BLOCK_BYTES", max(1, int(patch_bytes / rng.uniform(1.5, 6.0))))
+            out = nm.conv2d(Tensor(x), Tensor(k), Tensor(b), stride=stride, padding=padding)
+            np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+
+    def test_one_row_per_block_when_a_row_exceeds_the_budget(self, monkeypatch):
+        monkeypatch.setattr(nm, "_BLOCK_BYTES", 8)
+        x, k = rand((7, 5, 3), 30), rand((3, 3, 3, 4), 31)
+        out = nm.conv2d(x, k, None, stride=1, padding=1)
+        np.testing.assert_allclose(out.data, conv2d_reference(x.data, k.data, 1, 1), rtol=0, atol=1e-12)
+
+    def test_taped_conv_ignores_the_budget(self, monkeypatch):
+        def run():
+            x = rand((9, 7, 3), 32, requires_grad=True)
+            k = rand((3, 3, 3, 5), 33, requires_grad=True)
+            b = rand((5,), 34, requires_grad=True)
+            frozen = rand((3, 3, 5, 2), 35)  # no kernel gradient: its patches are not kept
+            g = Graph()
+            with g:
+                h = nm.conv2d(x, k, b, stride=1, padding=1)
+                loss = nm.reduce_sum(nm.conv2d(h, frozen, None, stride=2, padding=1))
+            backward(loss, g)
+            return loss.data, x.grad, k.grad, b.grad
+
+        full = run()
+        monkeypatch.setattr(nm, "_BLOCK_BYTES", 64)
+        for a, b in zip(full, run()):
+            np.testing.assert_array_equal(a, b)
+
+    def test_conv_transpose_input_gradient_matches_oracle(self, monkeypatch):
+        monkeypatch.setattr(nm, "_BLOCK_BYTES", 256)
+        x, k = rand((5, 3, 3), 36, requires_grad=True), rand((3, 3, 4, 3), 37)
+        weights = np.random.default_rng(38).uniform(-1, 1, (10, 6, 4))
+        g = Graph()
+        with g:
+            loss = nm.reduce_sum(nm.mul(nm.conv_transpose2d(x, k), Tensor(weights)))
+        backward(loss, g)
+        np.testing.assert_allclose(x.grad, conv2d_reference(weights, k.data, 2, 1), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cout", [128, 3])
+    def test_paper_size_blocks_are_bit_identical(self, cout):
+        # the paper-width 128-channel convs at 256x256: many blocks at the real budget
+        rng = np.random.default_rng(cout)
+        x = rng.normal(0.0, 1.0, (256, 256, 128))
+        k = rng.normal(0.0, 0.03, (3, 3, 128, cout))
+        assert 256 * 256 * 9 * 128 * 8 > 4 * nm._BLOCK_BYTES
+        out = nm.conv2d(Tensor(x), Tensor(k), None, stride=1, padding=1)
+        assert np.array_equal(out.data, conv2d_reference(x, k, 1, 1))
 
 
 class TestMaxPool2d:
