@@ -197,7 +197,7 @@ def _available_memory_bytes() -> int | None:
 
 def _check_train_memory(cfg: tr.TrainConfig) -> None:
     """Refuse a run whose taped batch cannot fit, rather than be OOM-killed in it."""
-    need = 2 * cfg.batch_size * dn.taped_frame_bytes(cfg.model)
+    need = dn.taped_step_bytes(cfg.model, 2 * cfg.batch_size)
     have = _available_memory_bytes()
     if have is not None and need > have:
         h, w = cfg.model.input_size

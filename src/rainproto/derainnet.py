@@ -82,13 +82,15 @@ def paper_model_config(seed: int = 0) -> ModelConfig:
     )
 
 
-def taped_frame_bytes(model: ModelConfig) -> int:
-    """Estimated bytes that one taped frame keeps alive until backward ends.
+def taped_step_bytes(model: ModelConfig, frames: int) -> int:
+    """Estimated peak bytes of one taped training step over ``frames`` frames.
 
-    Counts the im2col patches each 3x3 convolution keeps for its kernel
-    gradient, and each per-pixel activation (RSPU arrays included) twice: its
-    value and its gradient. The interpreter, the dataset and the temporaries of
-    backward come on top.
+    Counts each per-pixel activation of every frame (RSPU arrays included)
+    twice, its value and its gradient, plus the largest 3x3 convolution's
+    im2col patch matrix: its kernel-gradient VJP rebuilds the patches and
+    drops them before the next VJP runs, so one such matrix is alive at a time
+    in the whole step. The interpreter, the dataset and the other temporaries
+    of backward come on top.
     """
     h, w = model.input_size
     chans = model.stage_channels
@@ -96,7 +98,7 @@ def taped_frame_bytes(model: ModelConfig) -> int:
     cin = 3
     for i, c in enumerate(chans):  # two conv + relu per stage, then a pool
         px = (h >> i) * (w >> i)
-        patches += px * 9 * (cin + c)
+        patches = max(patches, px * 9 * max(cin, c))
         acts += px * 4 * c + (px * c // 4 if i < model.depth else 0)
         cin = c
     px = (h >> model.depth) * (w >> model.depth)
@@ -105,11 +107,11 @@ def taped_frame_bytes(model: ModelConfig) -> int:
     for stage in range(model.depth, 0, -1):  # upsample, concat, conv + relu
         px = (h >> (stage - 1)) * (w >> (stage - 1))
         c_s, c_out = chans[stage - 1], chans[max(stage - 2, 0)]
-        patches += px * 9 * 2 * c_s
+        patches = max(patches, px * 9 * 2 * c_s)
         acts += px * (3 * c_s + 2 * c_out)
-    patches += h * w * 9 * chans[0]
+    patches = max(patches, h * w * 9 * chans[0])
     acts += h * w * 3 * 10  # final conv, y_hat and the consistency losses
-    return 8 * (patches + 2 * acts)
+    return 8 * (patches + 2 * acts * frames)
 
 
 @dataclass

@@ -8,6 +8,7 @@ gradients into every participating tensor with ``requires_grad`` set.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -56,7 +57,9 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         # asarray with order='C' keeps 0-d scalars 0-d (ascontiguousarray would not)
         arr = np.asarray(data, dtype=np.float64, order="C")
-        if not np.all(np.isfinite(arr)):
+        # any NaN or Inf makes the sum non-finite; only then (or when finite
+        # values overflow it) is the elementwise scan needed
+        if not math.isfinite(arr.sum()) and not np.all(np.isfinite(arr)):
             raise ValueError("tensor contains non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -149,8 +152,10 @@ def backward(loss: Tensor, graph: Graph) -> None:
             if g is None or not tensor.requires_grad:
                 continue
             if tensor.grad is None:
-                tensor.grad = np.zeros_like(tensor.data)
-            tensor.grad += g
+                # the bits of zeros-then-add (-0.0 included) in one pass
+                tensor.grad = np.add(0.0, g, out=np.empty_like(tensor.data))
+            else:
+                tensor.grad += g
 
 
 def finite_diff_grad(f: Callable[[Tensor], "Tensor | float"], x: Tensor, h: float = 1e-6, coords=None) -> np.ndarray:
@@ -428,21 +433,18 @@ def gather_rows(x, indices) -> Tensor:
         raise ValueError(f"gather_rows: indices out of range for shape {x.shape}")
     out = Tensor(x.data[idx], x.requires_grad)
 
+    width = math.prod(x.shape[1:])
+
     def vjp(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        return (gx,)
+        # bincount adds in index order, as np.add.at does, so the sums agree bit for bit
+        flat = (idx[:, None] * width + np.arange(width)).ravel()
+        gx = np.bincount(flat, weights=g.ravel(), minlength=x.size)
+        return (gx.reshape(x.shape),)
 
     return _emit(out, (x,), vjp)
 
 
 # -- spatial operators (channel-last layout) --------------------------------
-
-
-def _pad_hw(x: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
-    if pad_h == 0 and pad_w == 0:
-        return x
-    return np.pad(x, ((pad_h, pad_h), (pad_w, pad_w), (0, 0)))
 
 
 def _windows(padded: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -455,42 +457,57 @@ def _conv_out_size(size: int, k: int, pad: int, stride: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-# Bytes of patch matrix built at a time when no backward pass will read it.
-# Blocks this large stay far above the GEMMs (M*N*K <= 1e6) that OpenBLAS
-# hands to its small-matrix kernel, whose sums differ in the last bits.
+def _patches(xd: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+    """The whole im2col patch matrix of ``xd``: [H', W', kh, kw, C], C-contiguous."""
+    if pad:
+        xd = np.pad(xd, ((pad, pad), (pad, pad), (0, 0)))
+    return np.ascontiguousarray(_windows(xd, kh, kw, stride))
+
+
+# Bytes of patch matrix built at a time. Blocks this large stay far above the
+# GEMMs (M*N*K <= 1e6) that OpenBLAS hands to its small-matrix kernel, whose
+# sums differ in the last bits.
 _BLOCK_BYTES = 32 << 20
 
 
-def _conv_forward(xd: np.ndarray, kd: np.ndarray, stride: int, pad: int, keep_patches: bool):
-    """im2col convolution; returns the output and, if ``keep_patches``, the patches.
+def _conv_forward(xd: np.ndarray, kd: np.ndarray, stride: int, pad: int) -> np.ndarray:
+    """im2col convolution of ``xd`` with ``kd``; keeps no patches.
 
-    A patch matrix that nothing keeps and that exceeds ``_BLOCK_BYTES`` is
-    built a block of whole output rows at a time in one reused buffer, each
-    block's GEMM writing straight into the output. Splitting a GEMM by rows
-    keeps the order of every output's sum, so the output is the same, bit for
-    bit, as that of the one GEMM over all patches.
+    A patch matrix larger than ``_BLOCK_BYTES`` is built a block of whole
+    output rows at a time in one reused buffer, each block's GEMM writing
+    straight into the output. A block's input rows are copied into one reused
+    slab with zero edges, so the input is never padded whole. Splitting a GEMM
+    by rows keeps the order of every output's sum, so the output is the same,
+    bit for bit, as that of the one GEMM over all patches.
     """
     kh, kw, cin, cout = kd.shape
-    windows = _windows(_pad_hw(xd, pad, pad), kh, kw, stride)
-    oh, ow = windows.shape[:2]
+    h, w, _ = xd.shape
+    oh, ow = _conv_out_size(h, kh, pad, stride), _conv_out_size(w, kw, pad, stride)
     k = kh * kw * cin
     kmat = kd.reshape(k, cout)
-    blocks = min(oh, -(-oh * ow * k * windows.itemsize // _BLOCK_BYTES))
-    # one block, or a view that is already the patch matrix (1x1, stride 1,
-    # no padding): a copy into a buffer would only cost time
-    if keep_patches or blocks == 1 or windows.flags.c_contiguous:
-        patches = np.ascontiguousarray(windows)
-        out = patches.reshape(oh * ow, k) @ kmat
-        return out.reshape(oh, ow, cout), patches if keep_patches else None
+    blocks = min(oh, -(-oh * ow * k * xd.itemsize // _BLOCK_BYTES))
+    # one block, or a 1x1 stride-1 unpadded kernel, whose patch matrix is the
+    # input itself: a copy into a buffer would only cost time
+    if blocks == 1 or (kh == kw == stride == 1 and pad == 0):
+        return (_patches(xd, kh, kw, stride, pad).reshape(oh * ow, k) @ kmat).reshape(oh, ow, cout)
     # even bounds: block heights differ by at most one row
     bounds = [oh * i // blocks for i in range(blocks + 1)]
-    buf = np.empty((-(-oh // blocks), ow, kh, kw, cin))
+    tallest = -(-oh // blocks)
+    slab = np.zeros(((tallest - 1) * stride + kh, w + 2 * pad, cin))
+    buf = np.empty((tallest, ow, kh, kw, cin))
     out = np.empty((oh, ow, cout))
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        top = r0 * stride - pad  # input row of the slab's first row
+        n = (r1 - r0 - 1) * stride + kh
+        lo = max(top, 0)
+        hi = max(min(top + n, h), lo)
+        slab[: lo - top] = 0.0
+        slab[lo - top : hi - top, pad : pad + w] = xd[lo:hi]
+        slab[hi - top : n] = 0.0
         rows = buf[: r1 - r0]
-        np.copyto(rows, windows[r0:r1])
+        np.copyto(rows, _windows(slab[:n], kh, kw, stride))
         np.matmul(rows.reshape(-1, k), kmat, out=out[r0:r1].reshape(-1, cout))
-    return out, None
+    return out
 
 
 def _conv_vjp_kernel(patches: np.ndarray, g: np.ndarray, kshape) -> np.ndarray:
@@ -538,8 +555,7 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         if bias.shape != (cout,):
             raise ValueError(f"conv2d: bias shape {bias.shape} does not match {cout} output channels")
 
-    keep_patches = kernel.requires_grad and _active_graph() is not None
-    out_data, patches = _conv_forward(x.data, kernel.data, stride, padding, keep_patches)
+    out_data = _conv_forward(x.data, kernel.data, stride, padding)
     if bias is not None:
         out_data += bias.data
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
@@ -547,7 +563,10 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
 
     def vjp(g):
         gx = _conv_vjp_input(g, kernel.data, x.shape, stride, padding) if x.requires_grad else None
-        gk = _conv_vjp_kernel(patches, g, kernel.shape) if kernel.requires_grad else None
+        gk = None
+        if kernel.requires_grad:
+            # rebuilt, not kept on the tape: the same bytes, so the same GEMM result
+            gk = _conv_vjp_kernel(_patches(x.data, kh, kw, stride, padding), g, kernel.shape)
         if bias is None:
             return gx, gk
         gb = g.sum(axis=(0, 1)) if bias.requires_grad else None
@@ -582,11 +601,10 @@ def conv_transpose2d(x, kernel) -> Tensor:
     out = Tensor(out_data, x.requires_grad or kernel.requires_grad)
 
     def vjp(g):
-        gx = _conv_forward(g, kernel.data, stride, pad_h, keep_patches=False)[0] if x.requires_grad else None
+        gx = _conv_forward(g, kernel.data, stride, pad_h) if x.requires_grad else None
         gk = None
         if kernel.requires_grad:
-            patches = np.ascontiguousarray(_windows(_pad_hw(g, pad_h, pad_w), kh, kw, stride))
-            gk = _conv_vjp_kernel(patches, x.data, kernel.shape)
+            gk = _conv_vjp_kernel(_patches(g, kh, kw, stride, pad_h), x.data, kernel.shape)
         return gx, gk
 
     return _emit(out, (x, kernel), vjp)

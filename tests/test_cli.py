@@ -12,7 +12,7 @@ from rainproto import data as dt
 from rainproto import trainer as tr
 from rainproto.cli import _resolve_train_config
 from rainproto.data import read_ppm, write_dataset, write_ppm
-from rainproto.derainnet import build_model, desk_model_config, taped_frame_bytes
+from rainproto.derainnet import build_model, desk_model_config, taped_step_bytes
 
 
 def run(capsys, *argv):
@@ -171,7 +171,7 @@ class TestTrainMemoryPreflight:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        estimate = 2 * batch * taped_frame_bytes(cfg.model)
+        estimate = taped_step_bytes(cfg.model, 2 * batch)
         assert 0.6 * peak < estimate < peak
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,13 @@ class TestTensor:
             Tensor([1.0, np.nan])
         with pytest.raises(ValueError):
             Tensor([np.inf])
+        with pytest.raises(ValueError):
+            Tensor([[1.0, -np.inf]])
+
+    # the screening sum overflows (numpy warns), so the full scan decides
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_accepts_finite_values_whose_sum_overflows(self):
+        assert np.array_equal(Tensor([1e308, 1e308]).data, [1e308, 1e308])
 
     def test_shape_matches_data(self):
         t = rand((3, 4), 0)
@@ -123,12 +132,12 @@ class TestBlockedConv:
         out = nm.conv2d(x, k, None, stride=1, padding=1)
         np.testing.assert_allclose(out.data, conv2d_reference(x.data, k.data, 1, 1), rtol=0, atol=1e-12)
 
-    def test_taped_conv_ignores_the_budget(self, monkeypatch):
+    def test_taped_conv_gradients_do_not_depend_on_the_budget(self, monkeypatch):
         def run():
             x = rand((9, 7, 3), 32, requires_grad=True)
             k = rand((3, 3, 3, 5), 33, requires_grad=True)
             b = rand((5,), 34, requires_grad=True)
-            frozen = rand((3, 3, 5, 2), 35)  # no kernel gradient: its patches are not kept
+            frozen = rand((3, 3, 5, 2), 35)  # no kernel gradient
             g = Graph()
             with g:
                 h = nm.conv2d(x, k, b, stride=1, padding=1)
@@ -140,6 +149,22 @@ class TestBlockedConv:
         monkeypatch.setattr(nm, "_BLOCK_BYTES", 64)
         for a, b in zip(full, run()):
             np.testing.assert_array_equal(a, b)
+
+    def test_taped_conv_keeps_no_patch_matrix(self):
+        # the kernel-gradient VJP rebuilds the patches; the tape must not hold them
+        rng = np.random.default_rng(39)
+        x = Tensor(rng.normal(0.0, 1.0, (64, 64, 128)), requires_grad=True)
+        k = Tensor(rng.normal(0.0, 0.03, (3, 3, 128, 128)), requires_grad=True)
+        patch_bytes = 64 * 64 * 9 * 128 * 8
+        g = Graph()
+        tracemalloc.start()
+        try:
+            with g:
+                out = nm.conv2d(x, k, None, stride=1, padding=1)
+            alive = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes <= alive < out.data.nbytes + patch_bytes // 8
 
     def test_conv_transpose_input_gradient_matches_oracle(self, monkeypatch):
         monkeypatch.setattr(nm, "_BLOCK_BYTES", 256)
@@ -319,6 +344,27 @@ class TestVectorL2:
         assert nm.vector_l2(Tensor([1.0, 1.0, 1.0]), 0).item() == pytest.approx(1.7320508, abs=1e-7)
 
 
+class TestGatherRows:
+    def test_vjp_is_byte_equal_to_add_at(self):
+        rng = np.random.default_rng(40)
+        shapes = [(5,), (6, 3), (4, 2, 3), (1, 7), (3, 1, 1)]
+        for shape in shapes:
+            for count in (0, 1, 9, 40):
+                x = rng.normal(0.0, 1.0, shape)
+                idx = rng.integers(0, shape[0], count)  # repeats rows
+                # magnitudes far apart make every sum depend on its order
+                g = rng.normal(0.0, 1.0, (count,) + shape[1:]) * 10.0 ** rng.integers(-8, 9, (count,) + shape[1:])
+                g[rng.random(g.shape) < 0.2] = -0.0
+                graph = Graph()
+                with graph:
+                    nm.gather_rows(Tensor(x, requires_grad=True), idx)
+                ((_, _, vjp),) = graph._records
+                expected = np.zeros(shape)
+                np.add.at(expected, idx, g)
+                (gx,) = vjp(g)
+                assert gx.shape == shape and gx.tobytes() == expected.tobytes()
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = rand((4, 3), 25, requires_grad=True)
@@ -379,6 +425,15 @@ class TestBackward:
         assert len(g) == 0
         backward(loss, g)
         assert x.grad is None
+
+    def test_first_gradient_write_adds_to_positive_zero(self):
+        # as zeros-then-add would: 0.0 + -0.0 is +0.0
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        g = Graph()
+        with g:
+            loss = nm.reduce_sum(nm.mul(x, Tensor([-0.0, 3.0])))
+        backward(loss, g)
+        assert x.grad.tobytes() == np.array([0.0, 3.0]).tobytes()
 
     def test_reused_tensor_accumulates(self):
         x = Tensor([2.0], requires_grad=True)
