@@ -53,8 +53,8 @@ class ModelConfig:
             raise ValueError(
                 f"rspu_channels {self.rspu_channels} != encoder output channels {self.feature_channels}"
             )
-        if self.prototype_count < 1:
-            raise ValueError("prototype_count must be at least 1")
+        if self.prototype_count < 2:
+            raise ValueError(f"prototype_count must be at least 2, got {self.prototype_count}")
 
     @property
     def stage_channels(self) -> list[int]:
@@ -82,23 +82,36 @@ def paper_model_config(seed: int = 0) -> ModelConfig:
     )
 
 
+def _conv_scratch(h: int, w: int, cin: int) -> int:
+    """Elements a 3x3, stride-1, padded convolution of an [h, w, cin] input
+    holds beyond its operands and their gradients, in forward or backward.
+
+    That is its whole patch matrix when it fits one block. A larger one is
+    built a row block at a time in forward, and backward works one kernel tap
+    at a time, so then it is the larger of one row block and one tap's
+    [h, w, cin] buffer.
+    """
+    blocks = nm._patch_blocks(h, w, (3, 3, cin, 1), 1, 1)
+    return max(-(-h // blocks) * w * 9 * cin, h * w * cin)
+
+
 def taped_step_bytes(model: ModelConfig, frames: int) -> int:
     """Estimated peak bytes of one taped training step over ``frames`` frames.
 
     Counts each per-pixel activation of every frame (RSPU arrays included)
-    twice, its value and its gradient, plus the largest 3x3 convolution's
-    im2col patch matrix: its kernel-gradient VJP rebuilds the patches and
-    drops them before the next VJP runs, so one such matrix is alive at a time
-    in the whole step. The interpreter, the dataset and the other temporaries
-    of backward come on top.
+    twice, its value and its gradient, plus the scratch of the convolution
+    that needs the most (``_conv_scratch``): each convolution drops its
+    scratch before the next op runs, so one is alive at a time in the whole
+    step. The interpreter, the dataset and the other temporaries of backward
+    come on top.
     """
     h, w = model.input_size
     chans = model.stage_channels
-    patches = acts = 0
+    scratch = acts = 0
     cin = 3
     for i, c in enumerate(chans):  # two conv + relu per stage, then a pool
         px = (h >> i) * (w >> i)
-        patches = max(patches, px * 9 * max(cin, c))
+        scratch = max(scratch, _conv_scratch(h >> i, w >> i, max(cin, c)))
         acts += px * 4 * c + (px * c // 4 if i < model.depth else 0)
         cin = c
     px = (h >> model.depth) * (w >> model.depth)
@@ -107,11 +120,11 @@ def taped_step_bytes(model: ModelConfig, frames: int) -> int:
     for stage in range(model.depth, 0, -1):  # upsample, concat, conv + relu
         px = (h >> (stage - 1)) * (w >> (stage - 1))
         c_s, c_out = chans[stage - 1], chans[max(stage - 2, 0)]
-        patches = max(patches, px * 9 * 2 * c_s)
+        scratch = max(scratch, _conv_scratch(h >> (stage - 1), w >> (stage - 1), 2 * c_s))
         acts += px * (3 * c_s + 2 * c_out)
-    patches = max(patches, h * w * 9 * chans[0])
+    scratch = max(scratch, _conv_scratch(h, w, chans[0]))
     acts += h * w * 3 * 10  # final conv, y_hat and the consistency losses
-    return 8 * (patches + 2 * acts * frames)
+    return 8 * (scratch + 2 * acts * frames)
 
 
 @dataclass

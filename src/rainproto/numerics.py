@@ -470,6 +470,18 @@ def _patches(xd: np.ndarray, kh: int, kw: int, stride: int, pad: int) -> np.ndar
 _BLOCK_BYTES = 32 << 20
 
 
+def _patch_blocks(oh: int, ow: int, kshape, stride: int, pad: int) -> int:
+    """Row blocks a conv's float64 patch matrix is built in; 1 means whole.
+
+    A 1x1 stride-1 unpadded kernel's patch matrix is its input itself, which a
+    copy into a buffer would only cost time, so it is always whole.
+    """
+    kh, kw, cin, _ = kshape
+    if kh == kw == stride == 1 and pad == 0:
+        return 1
+    return min(oh, -(-oh * ow * kh * kw * cin * 8 // _BLOCK_BYTES))
+
+
 def _conv_forward(xd: np.ndarray, kd: np.ndarray, stride: int, pad: int) -> np.ndarray:
     """im2col convolution of ``xd`` with ``kd``; keeps no patches.
 
@@ -485,10 +497,8 @@ def _conv_forward(xd: np.ndarray, kd: np.ndarray, stride: int, pad: int) -> np.n
     oh, ow = _conv_out_size(h, kh, pad, stride), _conv_out_size(w, kw, pad, stride)
     k = kh * kw * cin
     kmat = kd.reshape(k, cout)
-    blocks = min(oh, -(-oh * ow * k * xd.itemsize // _BLOCK_BYTES))
-    # one block, or a 1x1 stride-1 unpadded kernel, whose patch matrix is the
-    # input itself: a copy into a buffer would only cost time
-    if blocks == 1 or (kh == kw == stride == 1 and pad == 0):
+    blocks = _patch_blocks(oh, ow, kd.shape, stride, pad)
+    if blocks == 1:
         return (_patches(xd, kh, kw, stride, pad).reshape(oh * ow, k) @ kmat).reshape(oh, ow, cout)
     # even bounds: block heights differ by at most one row
     bounds = [oh * i // blocks for i in range(blocks + 1)]
@@ -510,27 +520,68 @@ def _conv_forward(xd: np.ndarray, kd: np.ndarray, stride: int, pad: int) -> np.n
     return out
 
 
-def _conv_vjp_kernel(patches: np.ndarray, g: np.ndarray, kshape) -> np.ndarray:
-    oh, ow = g.shape[:2]
+def _tap_span(t: int, size: int, out_size: int, stride: int, pad: int) -> tuple[int, int, int]:
+    """Output positions [lo, hi) whose kernel tap ``t`` falls inside the
+    unpadded input along one axis, and the input position of the first one."""
+    lo = min(max(-(-(pad - t) // stride), 0), out_size)
+    hi = max(min((size - 1 + pad - t) // stride + 1, out_size), lo)
+    return lo, hi, lo * stride + t - pad
+
+
+def _conv_vjp_kernel(xd: np.ndarray, g: np.ndarray, kshape, stride: int, pad: int) -> np.ndarray:
+    """Adjoint of _conv_forward with respect to the kernel: patches.T @ g.
+
+    A patch matrix that ``_conv_forward`` builds whole is rebuilt whole for
+    one GEMM. A larger one is never built: each kernel tap's (H', W', Cin)
+    slice of it is copied into one reused buffer, zero where the tap falls on
+    padding, and its GEMM writes that tap's rows of the gradient. Below the
+    block budget the two differ in the last bits (OpenBLAS's small-matrix
+    kernel), above it they agree, so the split keeps results bit for bit.
+    """
     kh, kw, cin, cout = kshape
-    gk = patches.reshape(oh * ow, kh * kw * cin).T @ g.reshape(oh * ow, cout)
-    return gk.reshape(kh, kw, cin, cout)
+    h, w, _ = xd.shape
+    oh, ow = g.shape[:2]
+    g2 = g.reshape(oh * ow, cout)
+    if _patch_blocks(oh, ow, kshape, stride, pad) == 1:
+        gk = _patches(xd, kh, kw, stride, pad).reshape(oh * ow, kh * kw * cin).T @ g2
+        return gk.reshape(kshape)
+    gk = np.empty(kshape)
+    tap = np.empty((oh, ow, cin))
+    for i in range(kh):
+        r0, r1, x0 = _tap_span(i, h, oh, stride, pad)
+        for j in range(kw):
+            c0, c1, y0 = _tap_span(j, w, ow, stride, pad)
+            tap[:r0] = 0.0
+            tap[r1:] = 0.0
+            tap[:, :c0] = 0.0
+            tap[:, c1:] = 0.0
+            tap[r0:r1, c0:c1] = xd[x0 : x0 + stride * (r1 - r0) : stride, y0 : y0 + stride * (c1 - c0) : stride]
+            np.matmul(tap.reshape(oh * ow, cin).T, g2, out=gk[i, j])
+    return gk
 
 
 def _conv_vjp_input(g: np.ndarray, kd: np.ndarray, in_shape, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of _conv_forward with respect to the input (a strided scatter-add)."""
+    """Adjoint of _conv_forward with respect to the input, one kernel tap at a time.
+
+    Each tap's (H'*W', Cin) product ``g @ kd[i, j].T`` is scatter-added into
+    the input positions it reaches as soon as it is made, so no patch-sized
+    matrix is built. Taps go in row-major order, so every input element sums
+    its contributions in the order of the one GEMM over all taps followed by
+    the same scatter-adds.
+    """
     kh, kw, cin, cout = kd.shape
     h, w, _ = in_shape
     oh, ow = g.shape[:2]
-    cols = g.reshape(oh * ow, cout) @ kd.reshape(kh * kw * cin, cout).T
-    cols = cols.reshape(oh, ow, kh, kw, cin)
-    gx = np.zeros((h + 2 * pad, w + 2 * pad, cin))
+    g2 = g.reshape(oh * ow, cout)
+    gx = np.zeros(in_shape)
+    part = np.empty((oh, ow, cin))
     for i in range(kh):
+        r0, r1, x0 = _tap_span(i, h, oh, stride, pad)
         for j in range(kw):
-            gx[i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, i, j]
-    if pad:
-        gx = gx[pad:-pad, pad:-pad]
-    return np.ascontiguousarray(gx)
+            c0, c1, y0 = _tap_span(j, w, ow, stride, pad)
+            np.matmul(g2, kd[i, j].T, out=part.reshape(oh * ow, cin))
+            gx[x0 : x0 + stride * (r1 - r0) : stride, y0 : y0 + stride * (c1 - c0) : stride] += part[r0:r1, c0:c1]
+    return gx
 
 
 def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -565,8 +616,7 @@ def conv2d(x, kernel, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         gx = _conv_vjp_input(g, kernel.data, x.shape, stride, padding) if x.requires_grad else None
         gk = None
         if kernel.requires_grad:
-            # rebuilt, not kept on the tape: the same bytes, so the same GEMM result
-            gk = _conv_vjp_kernel(_patches(x.data, kh, kw, stride, padding), g, kernel.shape)
+            gk = _conv_vjp_kernel(x.data, g, kernel.shape, stride, padding)
         if bias is None:
             return gx, gk
         gb = g.sum(axis=(0, 1)) if bias.requires_grad else None
@@ -604,7 +654,7 @@ def conv_transpose2d(x, kernel) -> Tensor:
         gx = _conv_forward(g, kernel.data, stride, pad_h) if x.requires_grad else None
         gk = None
         if kernel.requires_grad:
-            gk = _conv_vjp_kernel(_patches(g, kh, kw, stride, pad_h), x.data, kernel.shape)
+            gk = _conv_vjp_kernel(g, x.data, kernel.shape, stride, pad_h)
         return gx, gk
 
     return _emit(out, (x, kernel), vjp)

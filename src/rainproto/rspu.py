@@ -43,10 +43,6 @@ class AttentionBank:
     def channels(self) -> int:
         return self.weight.shape[2]
 
-    @property
-    def num_heads(self) -> int:
-        return self.weight.shape[3]
-
     @classmethod
     def create(cls, channels: int, heads: int, rng: np.random.Generator) -> "AttentionBank":
         """Zero-mean weights with variance 1/C and zero biases.

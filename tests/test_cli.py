@@ -119,6 +119,15 @@ class TestTrain:
         assert code == 1
         assert "warp_speed" in err
 
+    def test_one_prototype_is_usage_error(self, capsys, dataset_dir, tmp_path):
+        ckpt = tmp_path / "m.ckpt"
+        code, _, err = run(capsys, "train", "--data", str(dataset_dir), "--out", str(ckpt),
+                           "--steps", "1", "--prototype-count", "1")
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "prototype_count must be at least 2" in err
+        assert not ckpt.exists()
+
     def test_size_mismatch_is_data_error(self, capsys, tmp_path):
         small = tmp_path / "small"
         write_dataset([dt.gen_scene(0, 16, 2, dt.RAIN_PRESETS["light"])], small)
@@ -156,7 +165,7 @@ class TestTrainMemoryPreflight:
                            "--steps", "1")
         assert code == 0, err
 
-    @pytest.mark.parametrize("preset,size,batch", [("desk", 32, 4), ("paper", 32, 1)])
+    @pytest.mark.parametrize("preset,size,batch", [("desk", 32, 4), ("paper", 32, 1), ("paper", 64, 1)])
     def test_estimate_is_most_of_a_measured_step(self, preset, size, batch):
         base = tr.desk_train_config() if preset == "desk" else tr.paper_train_config()
         cfg = dataclasses.replace(base, batch_size=batch,

@@ -46,6 +46,12 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="rspu_channels"):
             ModelConfig(input_size=(32, 32), depth=2, base_channels=8, rspu_channels=99)
 
+    def test_fewer_than_two_prototypes_rejected(self):
+        # the divergence loss needs a pair; refuse the config, not the first step
+        for count in (1, 0):
+            with pytest.raises(ValueError, match="at least 2"):
+                ModelConfig(prototype_count=count)
+
 
 class TestBuildModel:
     def test_same_seed_bit_identical(self):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import conv2d_reference
+from _oracles import conv2d_reference, conv2d_vjp_reference
 from rainproto import numerics as nm
 from rainproto.gradcheck import _elementary_checks
 from rainproto.numerics import Graph, Tensor, backward, finite_diff_grad
@@ -106,8 +106,9 @@ class TestConvTranspose2d:
 
 
 class TestBlockedConv:
-    """Untaped convolutions build their patch matrix in row blocks; the
-    reference is im2col with one GEMM over all patches."""
+    """Convolutions build their patch matrix in row blocks, and their backward
+    works one kernel tap at a time; the references are im2col with one GEMM
+    over all patches."""
 
     def test_small_blocks_match_oracle_over_random_shapes(self, monkeypatch):
         rng = np.random.default_rng(2024)
@@ -165,6 +166,80 @@ class TestBlockedConv:
         finally:
             tracemalloc.stop()
         assert out.data.nbytes <= alive < out.data.nbytes + patch_bytes // 8
+
+    def test_small_budget_backward_matches_oracle_over_random_shapes(self, monkeypatch):
+        rng = np.random.default_rng(2025)
+        for _ in range(30):
+            kh = int(rng.choice([1, 3]))
+            stride, padding = int(rng.integers(1, 3)), int(rng.integers(0, 2))
+            h, w = (int(v) for v in rng.integers(kh + 2, 14, size=2))
+            cin, cout = int(rng.choice([1, 3, 5, 7])), int(rng.choice([1, 2, 3, 5]))
+            x = Tensor(rng.uniform(-1, 1, (h, w, cin)), requires_grad=True)
+            k = Tensor(rng.uniform(-1, 1, (kh, kh, cin, cout)), requires_grad=True)
+            oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kh) // stride + 1
+            weights = rng.uniform(-1, 1, (oh, ow, cout))
+            # below one patch matrix: the kernel gradient goes tap by tap
+            monkeypatch.setattr(nm, "_BLOCK_BYTES", max(1, int(oh * ow * kh * kh * cin * 8 / rng.uniform(1.5, 6.0))))
+            g = Graph()
+            with g:
+                loss = nm.reduce_sum(nm.mul(nm.conv2d(x, k, None, stride=stride, padding=padding), Tensor(weights)))
+            backward(loss, g)
+            gx, gk = conv2d_vjp_reference(x.data, k.data, weights, stride, padding)
+            np.testing.assert_allclose(x.grad, gx, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(k.grad, gk, rtol=0, atol=1e-12)
+
+    def test_small_budget_conv_transpose_matches_oracle(self, monkeypatch):
+        # conv_transpose2d runs the stride-2 conv's input-gradient VJP forward
+        # and its kernel-gradient VJP backward, with x in the role of g
+        rng = np.random.default_rng(2026)
+        monkeypatch.setattr(nm, "_BLOCK_BYTES", 512)
+        for h, w, cin, cout in [(5, 3, 3, 4), (4, 6, 1, 5), (7, 7, 6, 2)]:
+            x = Tensor(rng.uniform(-1, 1, (h, w, cin)))
+            k = Tensor(rng.uniform(-1, 1, (3, 3, cout, cin)), requires_grad=True)
+            weights = rng.uniform(-1, 1, (2 * h, 2 * w, cout))
+            g = Graph()
+            with g:
+                out = nm.conv_transpose2d(x, k)
+                loss = nm.reduce_sum(nm.mul(out, Tensor(weights)))
+            backward(loss, g)
+            expected, _ = conv2d_vjp_reference(np.zeros((2 * h, 2 * w, cout)), k.data, x.data, 2, 1)
+            _, gk = conv2d_vjp_reference(weights, k.data, x.data, 2, 1)
+            np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(k.grad, gk, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cout", [128, 3])
+    def test_paper_size_backward_is_bit_identical(self, cout):
+        # a paper-width 64x64 conv: its patch matrix is above the real budget
+        rng = np.random.default_rng(40 + cout)
+        x = Tensor(rng.normal(0.0, 1.0, (64, 64, 128)), requires_grad=True)
+        k = Tensor(rng.normal(0.0, 0.03, (3, 3, 128, cout)), requires_grad=True)
+        weights = rng.normal(0.0, 1.0, (64, 64, cout))
+        assert 64 * 64 * 9 * 128 * 8 > nm._BLOCK_BYTES
+        g = Graph()
+        with g:
+            loss = nm.reduce_sum(nm.mul(nm.conv2d(x, k, None, stride=1, padding=1), Tensor(weights)))
+        backward(loss, g)
+        gx, gk = conv2d_vjp_reference(x.data, k.data, weights, 1, 1)
+        assert np.array_equal(x.grad, gx)
+        assert np.array_equal(k.grad, gk)
+
+    def test_conv_backward_holds_no_patch_matrix(self):
+        # neither the input- nor the kernel-gradient VJP builds the 36 MiB patch matrix
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.normal(0.0, 1.0, (64, 64, 128)), requires_grad=True)
+        k = Tensor(rng.normal(0.0, 0.03, (3, 3, 128, 128)), requires_grad=True)
+        patch_bytes = 64 * 64 * 9 * 128 * 8
+        g = Graph()
+        with g:
+            loss = nm.reduce_sum(nm.conv2d(x, k, None, stride=1, padding=1))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            backward(loss, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < patch_bytes
 
     def test_conv_transpose_input_gradient_matches_oracle(self, monkeypatch):
         monkeypatch.setattr(nm, "_BLOCK_BYTES", 256)
