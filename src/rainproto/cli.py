@@ -91,9 +91,7 @@ def _build_parser() -> _Parser:
     t.add_argument("--input-size", default=None)
     t.add_argument("--base-channels", type=int, default=None)
     t.add_argument("--depth", type=int, default=None)
-    t.add_argument("--rspu-channels", type=int, default=None)
     t.add_argument("--prototype-count", type=int, default=None)
-    t.add_argument("--rspu-placement", choices=dn.PLACEMENTS, default=None)
     t.add_argument("--lambda-a", type=float, default=None)
     t.add_argument("--delta", type=float, default=None)
     t.add_argument("--lambda-c", type=float, default=None)
@@ -118,8 +116,7 @@ def _build_parser() -> _Parser:
 
 _TRAIN_KEYS = {"learning_rate": float, "batch_size": int, "steps": int, "seed": int,
                "checkpoint_every": int, "log_every": int}
-_MODEL_KEYS = {"input_size": _parse_size, "base_channels": int, "depth": int,
-               "rspu_channels": int, "prototype_count": int, "rspu_placement": str}
+_MODEL_KEYS = {"input_size": _parse_size, "base_channels": int, "depth": int, "prototype_count": int}
 _LOSS_KEYS = {"lambda_a": float, "delta": float, "lambda_c": float, "lambda_s": float,
               "lambda_f": float}
 

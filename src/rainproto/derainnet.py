@@ -16,24 +16,20 @@ from . import numerics as nm
 from .numerics import Tensor
 from .rspu import AttentionBank, rspu_forward
 
-PLACEMENTS = ("bottleneck", "full_res")
-
 
 @dataclass
 class ModelConfig:
     """Architecture hyperparameters.
 
-    ``rspu_placement`` selects where the prototype unit operates: at the
-    encoder bottleneck (after ``depth`` pooling stages) or at full input
-    resolution, which requires a pool-free trunk (depth 0).
+    The prototype unit works on the encoder's output: at the bottleneck after
+    ``depth`` pooling stages, so at full input resolution exactly when
+    ``depth`` is 0, with ``feature_channels`` channels.
     """
 
     input_size: tuple[int, int] = (32, 32)
     base_channels: int = 8
     depth: int = 2
-    rspu_channels: int = 16
     prototype_count: int = 4
-    rspu_placement: str = "bottleneck"
     seed: int = 0
 
     def __post_init__(self):
@@ -41,18 +37,12 @@ class ModelConfig:
             self.input_size = (self.input_size, self.input_size)
         self.input_size = (int(self.input_size[0]), int(self.input_size[1]))
         h, w = self.input_size
+        if h < 1 or w < 1 or self.base_channels < 1:
+            raise ValueError(f"input size {h}x{w} and base_channels {self.base_channels} must be positive")
         if self.depth < 0:
             raise ValueError("depth must be nonnegative")
         if h % (1 << self.depth) or w % (1 << self.depth):
             raise ValueError(f"input size {h}x{w} not divisible by 2^{self.depth}")
-        if self.rspu_placement not in PLACEMENTS:
-            raise ValueError(f"unknown rspu placement {self.rspu_placement!r}")
-        if self.rspu_placement == "full_res" and self.depth != 0:
-            raise ValueError("full_res placement requires depth 0 (no pooling before the unit)")
-        if self.rspu_channels != self.feature_channels:
-            raise ValueError(
-                f"rspu_channels {self.rspu_channels} != encoder output channels {self.feature_channels}"
-            )
         if self.prototype_count < 2:
             raise ValueError(f"prototype_count must be at least 2, got {self.prototype_count}")
 
@@ -68,18 +58,12 @@ class ModelConfig:
 
 def desk_model_config(seed: int = 0) -> ModelConfig:
     """Small configuration for fast experiments on 32x32 scenes."""
-    return ModelConfig(
-        input_size=(32, 32), base_channels=8, depth=2,
-        rspu_channels=16, prototype_count=4, rspu_placement="bottleneck", seed=seed,
-    )
+    return ModelConfig(input_size=(32, 32), base_channels=8, depth=2, prototype_count=4, seed=seed)
 
 
 def paper_model_config(seed: int = 0) -> ModelConfig:
     """Full-scale configuration: 256x256 features, 128 channels, 20 prototypes."""
-    return ModelConfig(
-        input_size=(256, 256), base_channels=128, depth=0,
-        rspu_channels=128, prototype_count=20, rspu_placement="full_res", seed=seed,
-    )
+    return ModelConfig(input_size=(256, 256), base_channels=128, depth=0, prototype_count=20, seed=seed)
 
 
 def _conv_scratch(h: int, w: int, cin: int) -> int:

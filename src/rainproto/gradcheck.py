@@ -207,7 +207,7 @@ def _composite_checks(rng: np.random.Generator, corrupt) -> list[CheckResult]:
 
 def _end_to_end_check(rng: np.random.Generator, corrupt) -> CheckResult:
     """total_loss through a desk-width model on a 16x16 pair."""
-    cfg = ModelConfig(input_size=(16, 16), base_channels=8, depth=2, rspu_channels=16, prototype_count=4, seed=int(rng.integers(1 << 31)))
+    cfg = ModelConfig(input_size=(16, 16), base_channels=8, depth=2, prototype_count=4, seed=int(rng.integers(1 << 31)))
     model = build_model(cfg)
     # randomize the final layer: at the zero init r_hat is identically 0, which
     # parks the self-consistency term exactly on the |.| kink and the clamp edge

@@ -8,6 +8,8 @@ uninterrupted run would have seen.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import os
 from dataclasses import dataclass, field
 
@@ -27,7 +29,8 @@ from .derainnet import (
 from .losses import LossConfig, LossReport
 from .numerics import Graph, Tensor, backward
 
-CHECKPOINT_MAGIC = b"RSPU1\n"
+CHECKPOINT_MAGIC = b"RSPU2\n"
+DIGEST_BYTES = 32  # sha256
 _SAMPLER_STREAM = 0x5A17
 
 
@@ -55,6 +58,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be nonnegative")
         if self.batch_size < 1 or self.steps < 0 or self.seed < 0:
             raise ValueError("batch_size must be >= 1, steps and seed nonnegative")
+        if self.checkpoint_every < 0 or self.log_every < 0:
+            raise ValueError("checkpoint_every and log_every must be nonnegative (0 turns them off)")
 
 
 def desk_train_config(seed: int = 0, steps: int = 2000) -> TrainConfig:
@@ -240,24 +245,22 @@ def train(
     return model, history
 
 
-# -- checkpoint format (magic RSPU1) -----------------------------------------
+# -- checkpoint format (magic RSPU2) -----------------------------------------
 #
-#   RSPU1\n
-#   config k=v ... \n           model architecture fields
+#   RSPU2\n
+#   config input_size=HxW k=v ...\n   every ModelConfig field, in field order
 #   adam beta1=.. beta2=.. eps=.. step=..\n
 #   tensors <N>\n
 #   <name> <d0>x<d1>x... <offset>\n   (offset into the data section)
 #   data <total_bytes>\n
 #   raw little-endian float64 blocks
+#   sha256 of every byte above (32 bytes)
 
 
 def _config_line(cfg: ModelConfig) -> str:
-    return (
-        f"config input_h={cfg.input_size[0]} input_w={cfg.input_size[1]}"
-        f" base_channels={cfg.base_channels} depth={cfg.depth}"
-        f" rspu_channels={cfg.rspu_channels} prototype_count={cfg.prototype_count}"
-        f" rspu_placement={cfg.rspu_placement} seed={cfg.seed}\n"
-    )
+    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(ModelConfig)}
+    values["input_size"] = "x".join(str(d) for d in cfg.input_size)
+    return "config " + " ".join(f"{k}={v}" for k, v in values.items()) + "\n"
 
 
 def _checkpoint_entries(model: DerainModel, opt: AdamOptimizer) -> dict[str, np.ndarray]:
@@ -273,7 +276,7 @@ def _checkpoint_entries(model: DerainModel, opt: AdamOptimizer) -> dict[str, np.
 
 
 def save_checkpoint(model: DerainModel, opt: AdamOptimizer, path) -> None:
-    """Write the full training state; the round trip is byte-exact."""
+    """Write the full training state, sealed by its sha256; the round trip is byte-exact."""
     entries = _checkpoint_entries(model, opt)
     manifest = []
     blobs = []
@@ -291,10 +294,13 @@ def save_checkpoint(model: DerainModel, opt: AdamOptimizer, path) -> None:
         + "".join(manifest)
         + f"data {offset}\n"
     )
-    payload = CHECKPOINT_MAGIC + header.encode("ascii") + b"".join(blobs)
+    digest = hashlib.sha256()
     tmp = os.fspath(path) + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(payload)
+        for part in (CHECKPOINT_MAGIC, header.encode("ascii"), *blobs):
+            digest.update(part)
+            fh.write(part)
+        fh.write(digest.digest())
     os.replace(tmp, path)
 
 
@@ -314,14 +320,16 @@ def _parse_kv(line: str, prefix: str) -> dict[str, str]:
 def load_checkpoint(path) -> tuple[DerainModel, AdamOptimizer]:
     """Rebuild the model and optimizer saved by :func:`save_checkpoint`.
 
-    A malformed header raises :class:`CheckpointError`, whatever field it hits.
+    Any other magic, a length other than header + data + digest, a digest
+    mismatch or a malformed header raises :class:`CheckpointError`.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(CHECKPOINT_MAGIC):
-        raise CheckpointError(f"bad checkpoint magic in {path!r}")
+        magic = blob[: len(CHECKPOINT_MAGIC)]
+        raise CheckpointError(f"bad checkpoint magic {magic!r} in {path!r}; expected {CHECKPOINT_MAGIC!r}")
     try:
-        cfg, adam_fields, arrays = _parse_checkpoint(blob[len(CHECKPOINT_MAGIC) :])
+        cfg, adam_fields, arrays = _parse_checkpoint(blob)
     except CheckpointError:
         raise
     except (ValueError, KeyError, IndexError) as exc:  # UnicodeDecodeError is a ValueError
@@ -349,21 +357,31 @@ def load_checkpoint(path) -> tuple[DerainModel, AdamOptimizer]:
     return model, opt
 
 
-def _parse_checkpoint(body: bytes) -> tuple[ModelConfig, dict, dict[str, np.ndarray]]:
-    """Model config, Adam fields and named arrays from everything after the magic line."""
-    header_end = _find_data_line(body)
-    lines = body[:header_end].decode("ascii").splitlines()
+def _parse_checkpoint(blob: bytes) -> tuple[ModelConfig, dict, dict[str, np.ndarray]]:
+    """Model config, Adam fields and named arrays from a file that starts with the magic.
+
+    The length and the digest are checked before any array is read.
+    """
+    header_end = _find_data_line(blob)
+    lines = blob[len(CHECKPOINT_MAGIC) : header_end].decode("ascii").splitlines()
+    data_bytes = int(lines[-1].split()[1])
+    sealed = header_end + data_bytes
+    if len(blob) != sealed + DIGEST_BYTES:
+        problem = "truncated" if len(blob) < sealed + DIGEST_BYTES else "overlong"
+        raise CheckpointError(
+            f"{problem} checkpoint: header, {data_bytes} data bytes and digest make "
+            f"{sealed + DIGEST_BYTES} bytes, found {len(blob)}"
+        )
+    if hashlib.sha256(memoryview(blob)[:sealed]).digest() != blob[sealed:]:
+        raise CheckpointError("checkpoint digest mismatch: the file is corrupt")
+
     cfg_fields = _parse_kv(lines[0], "config")
+    names = [f.name for f in dataclasses.fields(ModelConfig)]
+    if list(cfg_fields) != names:
+        raise CheckpointError(f"config line names {list(cfg_fields)}, expected {names}")
+    h, w = cfg_fields.pop("input_size").split("x")
+    cfg = ModelConfig(input_size=(int(h), int(w)), **{k: int(v) for k, v in cfg_fields.items()})
     raw_adam = _parse_kv(lines[1], "adam")
-    cfg = ModelConfig(
-        input_size=(int(cfg_fields["input_h"]), int(cfg_fields["input_w"])),
-        base_channels=int(cfg_fields["base_channels"]),
-        depth=int(cfg_fields["depth"]),
-        rspu_channels=int(cfg_fields["rspu_channels"]),
-        prototype_count=int(cfg_fields["prototype_count"]),
-        rspu_placement=cfg_fields["rspu_placement"],
-        seed=int(cfg_fields["seed"]),
-    )
     adam_fields = {key: float(raw_adam[key]) for key in ("beta1", "beta2", "eps")}
     adam_fields["step"] = int(raw_adam["step"])
     count_parts = lines[2].split()
@@ -372,10 +390,6 @@ def _parse_checkpoint(body: bytes) -> tuple[ModelConfig, dict, dict[str, np.ndar
     n_tensors = int(count_parts[1])
     if len(lines) != 3 + n_tensors + 1:
         raise CheckpointError(f"manifest lists {n_tensors} tensors but header has {len(lines) - 4} entries")
-    data_bytes = int(lines[-1].split()[1])
-    data = body[header_end:]
-    if len(data) < data_bytes:
-        raise CheckpointError(f"truncated checkpoint: expected {data_bytes} data bytes, found {len(data)}")
 
     arrays: dict[str, np.ndarray] = {}
     for line in lines[3:-1]:
@@ -385,10 +399,10 @@ def _parse_checkpoint(body: bytes) -> tuple[ModelConfig, dict, dict[str, np.ndar
         name, shape_str, offset_str = parts
         shape = tuple(int(d) for d in shape_str.split("x"))
         offset = int(offset_str)
-        nbytes = int(np.prod(shape)) * 8
-        if offset + nbytes > data_bytes:
+        count = int(np.prod(shape))
+        if offset < 0 or offset + 8 * count > data_bytes:
             raise CheckpointError(f"manifest entry {name} overruns the data section")
-        arrays[name] = np.frombuffer(data, dtype="<f8", count=int(np.prod(shape)), offset=offset).reshape(shape).copy()
+        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=header_end + offset).reshape(shape).copy()
     return cfg, adam_fields, arrays
 
 

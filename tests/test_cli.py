@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import hashlib
 import os
 import re
 import tracemalloc
@@ -12,7 +13,8 @@ from rainproto import data as dt
 from rainproto import trainer as tr
 from rainproto.cli import _resolve_train_config
 from rainproto.data import read_ppm, write_dataset, write_ppm
-from rainproto.derainnet import build_model, desk_model_config, taped_step_bytes
+from rainproto.derainnet import ModelConfig, build_model, desk_model_config, taped_step_bytes
+from rainproto.losses import LossConfig
 
 
 def run(capsys, *argv):
@@ -98,7 +100,7 @@ class TestTrain:
         assert cfg.learning_rate == 1e-4
         assert cfg.batch_size == 16
         assert cfg.model.prototype_count == 20
-        assert cfg.model.rspu_channels == 128
+        assert cfg.model.feature_channels == 128
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -111,6 +113,16 @@ class TestTrain:
         assert cfg.loss.lambda_c == 0.25  # file beats preset
         assert cfg.batch_size == 2
 
+    def test_config_keys_mirror_fields_and_flags(self):
+        fields = lambda cls: {f.name for f in dataclasses.fields(cls)}  # noqa: E731
+        assert set(cli._TRAIN_KEYS) == fields(tr.TrainConfig) - {"loss", "model"}
+        assert set(cli._MODEL_KEYS) == fields(ModelConfig) - {"seed"}
+        assert set(cli._LOSS_KEYS) == fields(LossConfig)
+        parser = cli._build_parser()
+        for key in (*cli._TRAIN_KEYS, *cli._MODEL_KEYS, *cli._LOSS_KEYS):
+            args = parser.parse_args(["train", "--data", "x", "--out", "y", "--" + key.replace("_", "-"), "1"])
+            assert getattr(args, key) is not None, key
+
     def test_unknown_config_key_is_usage_error(self, capsys, dataset_dir, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
         cfg_file.write_text("warp_speed = 11\n")
@@ -118,6 +130,32 @@ class TestTrain:
                            "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg_file))
         assert code == 1
         assert "warp_speed" in err
+
+    def test_removed_config_key_is_usage_error(self, capsys, dataset_dir, tmp_path):
+        cfg_file = tmp_path / "old.cfg"
+        cfg_file.write_text("rspu_channels = 16\n")
+        code, _, err = run(capsys, "train", "--data", str(dataset_dir),
+                           "--out", str(tmp_path / "m.ckpt"), "--config", str(cfg_file))
+        assert code == 1
+        assert "unknown config key 'rspu_channels'" in err
+
+    def test_depth_zero_trains_at_any_width(self, capsys, dataset_dir, tmp_path):
+        ckpt = tmp_path / "m.ckpt"
+        code, _, err = run(capsys, "train", "--data", str(dataset_dir), "--out", str(ckpt),
+                           "--depth", "0", "--base-channels", "4", "--steps", "1")
+        assert code == 0, err
+        model, _ = tr.load_checkpoint(ckpt)
+        assert model.config.feature_channels == 4
+
+    @pytest.mark.parametrize("flags", [("--input-size", "0"), ("--base-channels", "0"),
+                                       ("--checkpoint-every", "-1"), ("--log-every", "-1")])
+    def test_out_of_range_value_is_usage_error(self, capsys, dataset_dir, tmp_path, flags):
+        ckpt = tmp_path / "m.ckpt"
+        code, _, err = run(capsys, "train", "--data", str(dataset_dir), "--out", str(ckpt),
+                           "--steps", "1", *flags)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not ckpt.exists()
 
     def test_one_prototype_is_usage_error(self, capsys, dataset_dir, tmp_path):
         ckpt = tmp_path / "m.ckpt"
@@ -234,12 +272,38 @@ class TestDerain:
         raw = untrained_ckpt.read_bytes()
         at = raw.index(b"config ") + len(b"config ")
         bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(raw[:at] + b"\xff" + raw[at + 1 :])
+        body = raw[:at] + b"\xff" + raw[at + 1 : -tr.DIGEST_BYTES]
+        bad.write_bytes(body + hashlib.sha256(body).digest())  # resealed: decoding is what fails
         src = dataset_dir / "scenes" / "scene_000002" / "frame_0.ppm"
         code, _, err = run(capsys, "derain", "--ckpt", str(bad), "--in", str(src),
                            "--out-clean", str(tmp_path / "c.ppm"), "--out-rain", str(tmp_path / "r.ppm"))
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("command", ["derain", "eval"])
+    def test_previous_format_is_data_error(self, capsys, dataset_dir, untrained_ckpt, tmp_path, command):
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(rspu1_bytes(untrained_ckpt.read_bytes()))
+        if command == "derain":
+            src = dataset_dir / "scenes" / "scene_000002" / "frame_0.ppm"
+            rest = ["--in", str(src), "--out-clean", str(tmp_path / "c.ppm"), "--out-rain", str(tmp_path / "r.ppm")]
+        else:
+            rest = ["--data", str(dataset_dir)]
+        code, out, err = run(capsys, command, "--ckpt", str(old), *rest)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "RSPU1" in err and "RSPU2" in err
+        assert out == ""
+
+
+def rspu1_bytes(raw: bytes) -> bytes:
+    """The previous format's file for the untrained desk seed-0 model that ``raw`` holds:
+    magic RSPU1, the config line with its two derived fields, no digest."""
+    _, _, rest = raw[: -tr.DIGEST_BYTES].split(b"\n", 2)
+    config = (b"config input_h=32 input_w=32 base_channels=8 depth=2 rspu_channels=16"
+              b" prototype_count=4 rspu_placement=bottleneck seed=0")
+    return b"RSPU1\n" + config + b"\n" + rest
 
 
 class TestEval:

@@ -23,28 +23,25 @@ class TestModelConfig:
     def test_desk_preset(self):
         cfg = desk_model_config()
         assert cfg.input_size == (32, 32)
-        assert cfg.rspu_channels == 16
+        assert cfg.feature_channels == 16
         assert cfg.prototype_count == 4
         assert cfg.depth == 2
 
     def test_paper_preset(self):
         cfg = paper_model_config()
         assert cfg.input_size == (256, 256)
-        assert cfg.rspu_channels == 128
+        assert cfg.feature_channels == 128
         assert cfg.prototype_count == 20
-        assert cfg.rspu_placement == "full_res"
+        assert cfg.depth == 0  # the prototype unit runs at full resolution
 
     def test_indivisible_input_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
-            ModelConfig(input_size=(30, 30), depth=2, base_channels=8, rspu_channels=16)
+            ModelConfig(input_size=(30, 30), depth=2, base_channels=8)
 
-    def test_full_res_requires_depth_zero(self):
-        with pytest.raises(ValueError, match="full_res"):
-            ModelConfig(input_size=(32, 32), depth=1, base_channels=16, rspu_channels=16, rspu_placement="full_res")
-
-    def test_channel_consistency_enforced(self):
-        with pytest.raises(ValueError, match="rspu_channels"):
-            ModelConfig(input_size=(32, 32), depth=2, base_channels=8, rspu_channels=99)
+    @pytest.mark.parametrize("kw", [{"input_size": 0}, {"input_size": (32, -32)}, {"base_channels": 0}])
+    def test_nonpositive_size_or_width_rejected(self, kw):
+        with pytest.raises(ValueError, match="must be positive"):
+            ModelConfig(**kw)
 
     def test_fewer_than_two_prototypes_rejected(self):
         # the divergence loss needs a pair; refuse the config, not the first step
@@ -70,7 +67,7 @@ class TestBuildModel:
         assert sum(t.size for t in desk_model().parameters().values()) < 100_000
 
     def test_depth_zero_is_single_block(self):
-        cfg = ModelConfig(input_size=(16, 16), base_channels=8, depth=0, rspu_channels=8, prototype_count=2)
+        cfg = ModelConfig(input_size=(16, 16), base_channels=8, depth=0, prototype_count=2)
         model = build_model(cfg)
         assert len(model.encoder) == 1
         assert len(model.decoder) == 0

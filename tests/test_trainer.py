@@ -7,6 +7,7 @@ from rainproto import data as dt
 from rainproto.derainnet import ModelConfig, build_model, desk_model_config
 from rainproto.trainer import (
     CHECKPOINT_MAGIC,
+    DIGEST_BYTES,
     AdamOptimizer,
     CheckpointError,
     TrainConfig,
@@ -44,13 +45,17 @@ class TestConfigs:
         assert cfg.learning_rate == 1e-4
         assert cfg.batch_size == 16
         assert cfg.model.prototype_count == 20
-        assert cfg.model.rspu_channels == 128
+        assert cfg.model.feature_channels == 128
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+        for field in ("checkpoint_every", "log_every"):
+            with pytest.raises(ValueError, match="nonnegative"):
+                TrainConfig(**{field: -1})
+            TrainConfig(**{field: 0})  # 0 turns it off
 
 
 class TestSamplePair:
@@ -171,9 +176,13 @@ class TestTrain:
     def test_golden_checkpoint_bytes(self, tiny_dataset, tmp_path):
         # bit-level tripwire: any last-bit change in the objective, the
         # backward pass or Adam changes the written parameters
+        # parameters; the data section's golden outlives changes of the format
         path = tmp_path / "golden.ckpt"
         train(tiny_dataset, tiny_config(steps=4, seed=11), checkpoint_path=path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHECKPOINT_SHA256_SEED11
+        raw = path.read_bytes()
+        data = raw[header_end(raw) : -DIGEST_BYTES]
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_DATA_SHA256_SEED11
+        assert hashlib.sha256(raw).hexdigest() == GOLDEN_CHECKPOINT_SHA256_SEED11
 
     def test_resume_reproduces_uninterrupted_run(self, tiny_dataset, tmp_path):
         cfg = tiny_config(steps=6, seed=13)
@@ -254,23 +263,26 @@ class TestCheckpoint:
         raw = path.read_bytes()
         corrupted = raw.replace(b"param.final.bias 3 ", b"param.final.bias 4 ", 1)
         assert corrupted != raw
-        path.write_bytes(corrupted)
-        with pytest.raises(CheckpointError):
+        path.write_bytes(reseal(corrupted))
+        with pytest.raises(CheckpointError, match="shape mismatch"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "small.ckpt"
+        raw = small_checkpoint(path)
+        path.write_bytes(raw + b"\0")
+        with pytest.raises(CheckpointError, match="overlong"):
             load_checkpoint(path)
 
     def test_header_byte_fuzz_raises_only_checkpoint_error(self, tmp_path):
-        # every header byte after the magic, set to 0xff, '0', ' ' and '\n';
-        # a mutant may still load (there is no payload digest), but it must
-        # never escape as anything but CheckpointError
-        cfg = ModelConfig(input_size=(8, 8), base_channels=2, depth=1, rspu_channels=2, prototype_count=2)
-        model = build_model(cfg)
+        # every header byte after the magic, set to 0xff, '0', ' ' and '\n':
+        # each mutant must raise CheckpointError, none may load or escape as
+        # anything else
         path = tmp_path / "small.ckpt"
-        save_checkpoint(model, AdamOptimizer(model.parameters()), path)
-        raw = path.read_bytes()
-        header_end = raw.index(b"\n", raw.index(b"\ndata ") + 1) + 1
+        raw = small_checkpoint(path)
         mutant = tmp_path / "mutant.ckpt"
-        rejected = 0
-        for i in range(len(CHECKPOINT_MAGIC), header_end):
+        loaded = []
+        for i in range(len(CHECKPOINT_MAGIC), header_end(raw)):
             for value in b"\xff0 \n":
                 if raw[i] == value:
                     continue
@@ -278,8 +290,40 @@ class TestCheckpoint:
                 try:
                     load_checkpoint(mutant)
                 except CheckpointError:
-                    rejected += 1
-        assert rejected > 4000
+                    continue
+                loaded.append((i, value))
+        assert not loaded, f"{len(loaded)} header mutants loaded, e.g. (offset, byte) {loaded[:5]}"
+
+    def test_data_and_digest_byte_fuzz_is_rejected(self, tmp_path):
+        # spread offsets of the data section, then every digest byte, each
+        # with one bit and with all bits flipped
+        path = tmp_path / "small.ckpt"
+        raw = small_checkpoint(path)
+        data_start, digest_start = header_end(raw), len(raw) - DIGEST_BYTES
+        offsets = [*np.linspace(data_start, digest_start - 1, 97).astype(int), *range(digest_start, len(raw))]
+        mutant = tmp_path / "mutant.ckpt"
+        for i in offsets:
+            for flip in (0x01, 0xFF):
+                mutant.write_bytes(raw[:i] + bytes([raw[i] ^ flip]) + raw[i + 1 :])
+                with pytest.raises(CheckpointError, match="digest mismatch"):
+                    load_checkpoint(mutant)
+
+
+def small_checkpoint(path) -> bytes:
+    """Save an untrained 8x8, 2-channel, depth-1 model; returns the file's bytes."""
+    model = build_model(ModelConfig(input_size=(8, 8), base_channels=2, depth=1, prototype_count=2))
+    save_checkpoint(model, AdamOptimizer(model.parameters()), path)
+    return path.read_bytes()
+
+
+def header_end(raw: bytes) -> int:
+    return raw.index(b"\n", raw.index(b"\ndata ") + 1) + 1
+
+
+def reseal(raw: bytes) -> bytes:
+    """Replace the digest of an edited checkpoint, so that loading reaches the edit."""
+    body = raw[:-DIGEST_BYTES]
+    return body + hashlib.sha256(body).digest()
 
 
 GOLDEN_TOTALS_SEED11 = [
@@ -288,4 +332,6 @@ GOLDEN_TOTALS_SEED11 = [
     0.531188229462469,
     0.49976672374162073,
 ]
-GOLDEN_CHECKPOINT_SHA256_SEED11 = "fb3c906a4d7f6d7ef51fe6c9ad9087a3e7b3611193630f781ef19a8bc27ddc6d"
+# sha256 of the params and Adam moments alone (frozen with the RSPU1 format)
+GOLDEN_DATA_SHA256_SEED11 = "1351dd984318bbde683dc299597a1509b29c18e95d2eb95b07f8bfab87ebdfec"
+GOLDEN_CHECKPOINT_SHA256_SEED11 = "e8d9428b0e3e44735a4680d232823e480fbf03006ac1a75c54b865e690799e0d"
