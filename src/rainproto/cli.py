@@ -28,6 +28,7 @@ from . import metrics as mt
 from . import trainer as tr
 from .data import DatasetError, PpmError
 from .gradcheck import run_suite
+from .losses import LossConfig
 from .trainer import CheckpointError, TrainingError
 
 
@@ -41,16 +42,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_size(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
+    """An image size, N or HxW, with positive dimensions."""
     try:
-        if len(parts) == 1:
-            n = int(parts[0])
-            return n, n
-        if len(parts) == 2:
-            return int(parts[0]), int(parts[1])
+        dims = [int(d) for d in text.lower().split("x")]
     except ValueError:
-        pass
-    raise UsageError(f"cannot parse size {text!r}; expected N or HxW")
+        dims = []
+    if len(dims) not in (1, 2):
+        raise UsageError(f"cannot parse size {text!r}; expected N or HxW")
+    if min(dims) < 1:
+        raise UsageError(f"size {text!r} must be positive")
+    return dims[0], dims[-1]
 
 
 def _parse_hwc(text: str) -> tuple[int, int, int]:
@@ -61,6 +62,17 @@ def _parse_hwc(text: str) -> tuple[int, int, int]:
         return int(parts[0]), int(parts[1]), int(parts[2])
     except ValueError:
         raise UsageError(f"cannot parse sizes {text!r}; expected HxWxC") from None
+
+
+# Every train setting, key -> (the config that owns the field, its parser). Each
+# is read from a flag and a --config key of that name; the model's seed is the
+# run's seed.
+_SETTINGS = {
+    f.name: (owner, _parse_size if f.name == "input_size" else type(f.default))
+    for owner, skip in ((tr.TrainConfig, {"loss", "model"}), (dn.ModelConfig, {"seed"}), (LossConfig, set()))
+    for f in dataclasses.fields(owner)
+    if f.name not in skip
+}
 
 
 def _build_parser() -> _Parser:
@@ -81,22 +93,10 @@ def _build_parser() -> _Parser:
     t.add_argument("--log", default=None, help="history log path (default: <out>.log)")
     t.add_argument("--preset", choices=("desk", "paper"), default="desk")
     t.add_argument("--config", default=None, help="flat key = value config file")
-    # flags mirror config fields one-to-one; flags beat the file, the file beats the preset
-    t.add_argument("--steps", type=int, default=None)
-    t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--learning-rate", "--lr", dest="learning_rate", type=float, default=None)
-    t.add_argument("--batch-size", type=int, default=None)
-    t.add_argument("--checkpoint-every", type=int, default=None)
-    t.add_argument("--log-every", type=int, default=None)
-    t.add_argument("--input-size", default=None)
-    t.add_argument("--base-channels", type=int, default=None)
-    t.add_argument("--depth", type=int, default=None)
-    t.add_argument("--prototype-count", type=int, default=None)
-    t.add_argument("--lambda-a", type=float, default=None)
-    t.add_argument("--delta", type=float, default=None)
-    t.add_argument("--lambda-c", type=float, default=None)
-    t.add_argument("--lambda-s", type=float, default=None)
-    t.add_argument("--lambda-f", type=float, default=None)
+    # one flag per setting; flags beat the file, the file beats the preset
+    for key, (_, parse) in _SETTINGS.items():
+        flags = ["--" + key.replace("_", "-")] + (["--lr"] if key == "learning_rate" else [])
+        t.add_argument(*flags, dest=key, type=parse, default=None)
 
     d = sub.add_parser("derain", help="de-rain one PPM image with a trained model")
     d.add_argument("--ckpt", required=True)
@@ -112,13 +112,6 @@ def _build_parser() -> _Parser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--sizes", default="4x4x3", help="HxWxC of the operator test tensors")
     return parser
-
-
-_TRAIN_KEYS = {"learning_rate": float, "batch_size": int, "steps": int, "seed": int,
-               "checkpoint_every": int, "log_every": int}
-_MODEL_KEYS = {"input_size": _parse_size, "base_channels": int, "depth": int, "prototype_count": int}
-_LOSS_KEYS = {"lambda_a": float, "delta": float, "lambda_c": float, "lambda_s": float,
-              "lambda_f": float}
 
 
 def _read_config_file(path) -> dict[str, str]:
@@ -141,27 +134,21 @@ def _resolve_train_config(args) -> tr.TrainConfig:
     cfg = tr.desk_train_config() if args.preset == "desk" else tr.paper_train_config()
     overrides: dict[str, object] = {}
     if args.config:
-        file_values = _read_config_file(args.config)
-        for key, text in file_values.items():
-            conv = _TRAIN_KEYS.get(key) or _MODEL_KEYS.get(key) or _LOSS_KEYS.get(key)
-            if conv is None:
+        for key, text in _read_config_file(args.config).items():
+            if key not in _SETTINGS:
                 raise UsageError(f"unknown config key {key!r}")
             try:
-                overrides[key] = conv(text)
+                overrides[key] = _SETTINGS[key][1](text)
             except ValueError:
                 raise UsageError(f"config key {key}: cannot parse {text!r}") from None
-    for key in (*_TRAIN_KEYS, *_MODEL_KEYS, *_LOSS_KEYS):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            overrides[key] = _parse_size(flag) if key == "input_size" else flag
-
-    train_kw = {k: v for k, v in overrides.items() if k in _TRAIN_KEYS}
-    model_kw = {k: v for k, v in overrides.items() if k in _MODEL_KEYS}
-    loss_kw = {k: v for k, v in overrides.items() if k in _LOSS_KEYS}
-    seed = train_kw.get("seed", cfg.seed)
+    overrides.update((key, getattr(args, key)) for key in _SETTINGS if getattr(args, key) is not None)
+    kw = {owner: {} for owner, _ in _SETTINGS.values()}
+    for key, value in overrides.items():
+        kw[_SETTINGS[key][0]][key] = value
+    train_kw = kw[tr.TrainConfig]
     try:
-        model = dataclasses.replace(cfg.model, seed=seed, **model_kw)
-        loss = dataclasses.replace(cfg.loss, **loss_kw)
+        model = dataclasses.replace(cfg.model, seed=train_kw.get("seed", cfg.seed), **kw[dn.ModelConfig])
+        loss = dataclasses.replace(cfg.loss, **kw[LossConfig])
         return dataclasses.replace(cfg, model=model, loss=loss, **train_kw)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -205,16 +192,24 @@ def _check_train_memory(cfg: tr.TrainConfig) -> None:
         )
 
 
+def _load_dataset_of_size(root, size: tuple[int, int]) -> list[dt.TimeLapseScene]:
+    """The dataset under ``root``, refused unless every scene is ``size``.
+
+    ``load_dataset`` already refuses a frame of another shape than its scene's
+    background.
+    """
+    dataset = dt.load_dataset(root)
+    for scene in dataset:
+        h, w = scene.background.shape[:2]
+        if (h, w) != size:
+            raise DatasetError(f"scene {scene.scene_id} is {h}x{w} but the model expects {size[0]}x{size[1]}")
+    return dataset
+
+
 def _cmd_train(args) -> int:
     cfg = _resolve_train_config(args)
     _check_train_memory(cfg)
-    dataset = dt.load_dataset(args.data)
-    shape = dataset[0].frames[0].shape
-    if shape[:2] != cfg.model.input_size:
-        raise DatasetError(
-            f"dataset images are {shape[0]}x{shape[1]} but the model expects "
-            f"{cfg.model.input_size[0]}x{cfg.model.input_size[1]}"
-        )
+    dataset = _load_dataset_of_size(args.data, cfg.model.input_size)
     log_path = args.log if args.log is not None else os.fspath(args.out) + ".log"
     _, history = tr.train(dataset, cfg, checkpoint_path=args.out, log_path=log_path)
     if history:
@@ -229,8 +224,6 @@ def _cmd_train(args) -> int:
 def _cmd_derain(args) -> int:
     model, _ = tr.load_checkpoint(args.ckpt)
     img = dt.read_ppm(args.input)
-    if img.ndim != 3:
-        raise PpmError(f"{args.input}: de-raining needs a color (P6) image")
     expected = model.config.input_size
     if img.shape[:2] != expected:
         raise DatasetError(
@@ -253,16 +246,10 @@ def _fmt(value: float) -> str:
 
 def _cmd_eval(args) -> int:
     model, _ = tr.load_checkpoint(args.ckpt)
-    dataset = dt.load_dataset(args.data)
-    expected = model.config.input_size
+    dataset = _load_dataset_of_size(args.data, model.config.input_size)
     print("scene\tpsnr_rainy\tssim_rainy\tpsnr_derained\tssim_derained")
     sums = np.zeros(4)
     for scene in dataset:
-        if scene.background.shape[:2] != expected:
-            raise DatasetError(
-                f"scene {scene.scene_id} is {scene.background.shape[0]}x{scene.background.shape[1]} "
-                f"but the checkpoint expects {expected[0]}x{expected[1]}"
-            )
         rows = []
         for frame in scene.frames:
             derained = dt.denormalize(dn.derain(model, dt.normalize(frame)).y_hat)
@@ -281,9 +268,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    sizes = _parse_hwc(args.sizes)
-    corrupt = os.environ.get("RSPU_GRADCHECK_CORRUPT")
-    results = run_suite(seed=args.seed, sizes=sizes, corrupt=corrupt)
+    results = run_suite(seed=args.seed, sizes=_parse_hwc(args.sizes))
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -1,4 +1,4 @@
-"""Synthetic time-lapse scenes and portable PPM/PGM image I/O.
+"""Synthetic time-lapse scenes and binary PPM image I/O.
 
 A scene is one procedurally generated static background plus T rainy frames
 composed additively: frame_t = clip(background + rain_t, [0, 1]). Rain layers
@@ -19,7 +19,7 @@ from .numerics import Tensor
 
 
 class PpmError(ValueError):
-    """Malformed PPM/PGM content; messages carry the offending byte position."""
+    """Malformed PPM content; messages carry the offending byte position."""
 
 
 class DatasetError(ValueError):
@@ -195,20 +195,16 @@ def denormalize(x) -> np.ndarray:
     return np.clip((arr + 1.0) / 2.0, 0.0, 1.0)
 
 
-# -- binary PPM (P6) / PGM (P5), maxval 255 ---------------------------------
+# -- binary PPM (P6), maxval 255 ---------------------------------------------
 
 
 def write_ppm(path, image: np.ndarray, comment: str | None = None) -> None:
-    """Write a [0, 1] image as binary PPM ([H, W, 3]) or PGM ([H, W])."""
+    """Write a [0, 1] [H, W, 3] image as binary PPM."""
     arr = np.asarray(image, dtype=np.float64)
-    if arr.ndim == 3 and arr.shape[2] == 3:
-        magic = b"P6"
-    elif arr.ndim == 2:
-        magic = b"P5"
-    else:
-        raise ValueError(f"expected [H, W, 3] or [H, W] image, got shape {arr.shape}")
+    if arr.ndim != 3 or arr.shape[2] != 3:
+        raise ValueError(f"expected [H, W, 3] image, got shape {arr.shape}")
     data = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
-    header = magic + b"\n"
+    header = b"P6\n"
     if comment is not None:
         if "\n" in comment:
             raise ValueError("PPM comment must be a single line")
@@ -238,11 +234,11 @@ def _next_header_token(buf: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def read_ppm(path) -> np.ndarray:
-    """Read binary PPM/PGM into a [0, 1] float array ([H, W, 3] or [H, W])."""
+    """Read binary PPM into a [0, 1] float array [H, W, 3]."""
     with open(path, "rb") as fh:
         buf = fh.read()
     magic, pos = _next_header_token(buf, 0)
-    if magic not in (b"P6", b"P5"):
+    if magic != b"P6":
         raise PpmError(f"unsupported magic {magic.decode('ascii', 'replace')!r} at byte 0")
     fields = []
     for name in ("width", "height", "maxval"):
@@ -256,14 +252,11 @@ def read_ppm(path) -> np.ndarray:
     if maxval != 255:
         raise PpmError(f"unsupported maxval {maxval} at byte {pos - len(str(maxval))}")
     pos += 1  # exactly one whitespace byte separates header and raster
-    channels = 3 if magic == b"P6" else 1
-    expected = width * height * channels
+    expected = width * height * 3
     if len(buf) - pos < expected:
         raise PpmError(f"truncated pixel data at byte {pos}: expected {expected} bytes, found {len(buf) - pos}")
     raster = np.frombuffer(buf, dtype=np.uint8, count=expected, offset=pos).astype(np.float64) / 255.0
-    if channels == 3:
-        return raster.reshape(height, width, 3)
-    return raster.reshape(height, width)
+    return raster.reshape(height, width, 3)
 
 
 # -- dataset-on-disk layout --------------------------------------------------
@@ -309,6 +302,12 @@ def load_dataset(root) -> list[TimeLapseScene]:
             scene_dir = os.path.join(root, "scenes", scene_id)
             background = read_ppm(os.path.join(scene_dir, "bg.ppm"))
             frames = [read_ppm(os.path.join(scene_dir, f"frame_{t}.ppm")) for t in range(t_frames)]
+            for t, frame in enumerate(frames):
+                if frame.shape != background.shape:
+                    raise DatasetError(
+                        f"scene {scene_id}: frame_{t}.ppm is {frame.shape[0]}x{frame.shape[1]} "
+                        f"but bg.ppm is {background.shape[0]}x{background.shape[1]}"
+                    )
             scenes.append(TimeLapseScene(background=background, frames=frames, scene_id=scene_id, seed=seed))
     if not scenes:
         raise DatasetError(f"manifest.txt under {root} lists no scenes")

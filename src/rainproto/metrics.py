@@ -48,11 +48,8 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"ssim: shape mismatch {a.shape} vs {b.shape}")
-    if a.ndim == 2:
-        a = a[:, :, None]
-        b = b[:, :, None]
     if a.ndim != 3:
-        raise ValueError(f"ssim: expected [H, W] or [H, W, C] images, got {a.shape}")
+        raise ValueError(f"ssim: expected [H, W, C] images, got {a.shape}")
     if min(a.shape[0], a.shape[1]) < SSIM_WINDOW:
         raise ValueError(f"ssim: image {a.shape[:2]} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
     taps = _gaussian_taps(SSIM_WINDOW, SSIM_SIGMA)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,10 +34,14 @@ from .numerics import Graph, Tensor, backward
 CHECKPOINT_MAGIC = b"RSPU2\n"
 DIGEST_BYTES = 32  # sha256
 _SAMPLER_STREAM = 0x5A17
+# Adam's published defaults (Kingma & Ba 2015); every checkpoint header records them
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class CheckpointError(ValueError):
-    """Corrupt or inconsistent checkpoint file."""
+    """Damaged or inconsistent checkpoint file."""
 
 
 class TrainingError(RuntimeError):
@@ -73,39 +79,22 @@ def paper_train_config(seed: int = 0, steps: int = 100000) -> TrainConfig:
 
 
 def adam_update(
-    value: np.ndarray,
-    grad: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    t: int,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, lr: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One bias-corrected Adam step; returns (new_value, new_m, new_v)."""
     if grad.shape != value.shape:
         raise ValueError(f"adam_update: grad shape {grad.shape} != param shape {value.shape}")
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    return value - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
 class AdamOptimizer:
     """Per-parameter first/second moment buffers plus a step counter."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params: dict[str, Tensor]):
         self.step_count = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -115,8 +104,7 @@ class AdamOptimizer:
         for name, p in params.items():
             grad = p.grad if p.grad is not None else np.zeros_like(p.data)
             p.data, self.m[name], self.v[name] = adam_update(
-                p.data, grad, self.m[name], self.v[name],
-                self.step_count, lr, self.beta1, self.beta2, self.eps,
+                p.data, grad, self.m[name], self.v[name], self.step_count, lr
             )
 
 
@@ -135,6 +123,13 @@ def sample_pair(dataset: list[TimeLapseScene], rng: np.random.Generator):
     return scene.frames[w], scene.frames[v], scene.scene_id
 
 
+def _mean_terms(terms: list[Tensor]) -> Tensor:
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = nm.add(acc, t)
+    return nm.mul(acc, 1.0 / len(terms))
+
+
 def pair_terms(model: DerainModel, frame_w: np.ndarray, frame_v: np.ndarray, loss_cfg: LossConfig):
     """The training objective's terms for one pair of [0, 1] frames of a scene.
 
@@ -147,38 +142,20 @@ def pair_terms(model: DerainModel, frame_w: np.ndarray, frame_v: np.ndarray, los
     out_w = derain(model, x_w)
     out_v = derain(model, x_v)
     bg = ls.background_consistency(out_w.y_hat, out_v.y_hat)
-    cross = nm.mul(
-        nm.add(ls.cross_consistency(x_w, out_v.y_hat), ls.cross_consistency(x_v, out_w.y_hat)), 0.5
-    )
-    self_c = nm.mul(
-        nm.add(
-            ls.self_consistency(x_w, out_w.y_hat, out_w.r_hat),
-            ls.self_consistency(x_v, out_v.y_hat, out_v.r_hat),
-        ),
-        0.5,
-    )
-    coh = nm.mul(
-        nm.add(
-            ls.cohesion_loss(out_w.features, out_w.prototypes, out_w.relevance),
-            ls.cohesion_loss(out_v.features, out_v.prototypes, out_v.relevance),
-        ),
-        0.5,
-    )
-    divergence = nm.mul(
-        nm.add(
-            ls.divergence_loss(out_w.prototypes, loss_cfg.delta),
-            ls.divergence_loss(out_v.prototypes, loss_cfg.delta),
-        ),
-        0.5,
-    )
+    cross = _mean_terms([ls.cross_consistency(x_w, out_v.y_hat), ls.cross_consistency(x_v, out_w.y_hat)])
+    self_c = _mean_terms([
+        ls.self_consistency(x_w, out_w.y_hat, out_w.r_hat),
+        ls.self_consistency(x_v, out_v.y_hat, out_v.r_hat),
+    ])
+    coh = _mean_terms([
+        ls.cohesion_loss(out_w.features, out_w.prototypes, out_w.relevance),
+        ls.cohesion_loss(out_v.features, out_v.prototypes, out_v.relevance),
+    ])
+    divergence = _mean_terms([
+        ls.divergence_loss(out_w.prototypes, loss_cfg.delta),
+        ls.divergence_loss(out_v.prototypes, loss_cfg.delta),
+    ])
     return coh, divergence, bg, cross, self_c
-
-
-def _mean_terms(terms: list[Tensor]) -> Tensor:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = nm.add(acc, t)
-    return nm.mul(acc, 1.0 / len(terms))
 
 
 def train_step(model: DerainModel, opt: AdamOptimizer, pairs, cfg: TrainConfig) -> LossReport:
@@ -253,14 +230,13 @@ def train(
 #   tensors <N>\n
 #   <name> <d0>x<d1>x... <offset>\n   (offset into the data section)
 #   data <total_bytes>\n
-#   raw little-endian float64 blocks
+#   raw little-endian float64 blocks, in manifest order
 #   sha256 of every byte above (32 bytes)
+#
+# Every header line follows from the model config and the Adam step, so
+# loading parses those two and regenerates the rest instead of reading it.
 
-
-def _config_line(cfg: ModelConfig) -> str:
-    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(ModelConfig)}
-    values["input_size"] = "x".join(str(d) for d in cfg.input_size)
-    return "config " + " ".join(f"{k}={v}" for k, v in values.items()) + "\n"
+_DATA_LINE = re.compile(rb"^data ([^\n]*)\n", re.MULTILINE)
 
 
 def _checkpoint_entries(model: DerainModel, opt: AdamOptimizer) -> dict[str, np.ndarray]:
@@ -275,96 +251,58 @@ def _checkpoint_entries(model: DerainModel, opt: AdamOptimizer) -> dict[str, np.
     return entries
 
 
-def save_checkpoint(model: DerainModel, opt: AdamOptimizer, path) -> None:
-    """Write the full training state, sealed by its sha256; the round trip is byte-exact."""
+def _checkpoint_header(model: DerainModel, opt: AdamOptimizer) -> bytes:
+    """Every byte between the magic and the data section."""
+    config = {f.name: getattr(model.config, f.name) for f in dataclasses.fields(ModelConfig)}
+    config["input_size"] = "x".join(str(d) for d in model.config.input_size)
     entries = _checkpoint_entries(model, opt)
-    manifest = []
-    blobs = []
+    lines = [
+        "config " + " ".join(f"{k}={v}" for k, v in config.items()),
+        f"adam beta1={ADAM_BETA1!r} beta2={ADAM_BETA2!r} eps={ADAM_EPS!r} step={opt.step_count}",
+        f"tensors {len(entries)}",
+    ]
     offset = 0
     for name, arr in entries.items():
-        shape = "x".join(str(d) for d in arr.shape)
-        manifest.append(f"{name} {shape} {offset}\n")
-        blob = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        blobs.append(blob)
-        offset += len(blob)
-    header = (
-        _config_line(model.config)
-        + f"adam beta1={opt.beta1!r} beta2={opt.beta2!r} eps={opt.eps!r} step={opt.step_count}\n"
-        + f"tensors {len(manifest)}\n"
-        + "".join(manifest)
-        + f"data {offset}\n"
-    )
+        lines.append(f"{name} {'x'.join(str(d) for d in arr.shape)} {offset}")
+        offset += 8 * arr.size
+    lines.append(f"data {offset}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def save_checkpoint(model: DerainModel, opt: AdamOptimizer, path) -> None:
+    """Write the full training state, sealed by its sha256; the round trip is byte-exact."""
+    blobs = [np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in _checkpoint_entries(model, opt).values()]
     digest = hashlib.sha256()
     tmp = os.fspath(path) + ".tmp"
     with open(tmp, "wb") as fh:
-        for part in (CHECKPOINT_MAGIC, header.encode("ascii"), *blobs):
+        for part in (CHECKPOINT_MAGIC, _checkpoint_header(model, opt), *blobs):
             digest.update(part)
             fh.write(part)
         fh.write(digest.digest())
     os.replace(tmp, path)
 
 
-def _parse_kv(line: str, prefix: str) -> dict[str, str]:
-    parts = line.split()
-    if not parts or parts[0] != prefix:
-        raise CheckpointError(f"expected '{prefix}' line, got {line!r}")
-    out = {}
-    for item in parts[1:]:
-        key, _, value = item.partition("=")
-        if not value:
-            raise CheckpointError(f"malformed '{prefix}' field {item!r}")
-        out[key] = value
-    return out
+def _header_fields(line: str) -> dict[str, str]:
+    return dict(item.split("=", 1) for item in line.split()[1:])
 
 
 def load_checkpoint(path) -> tuple[DerainModel, AdamOptimizer]:
     """Rebuild the model and optimizer saved by :func:`save_checkpoint`.
 
-    Any other magic, a length other than header + data + digest, a digest
-    mismatch or a malformed header raises :class:`CheckpointError`.
+    The magic, the length (header + data + digest) and the digest are checked
+    first. Then only the config line and the Adam step are parsed: the header
+    regenerated from them must equal the file's byte for byte. Any failure
+    raises :class:`CheckpointError`.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(CHECKPOINT_MAGIC):
         magic = blob[: len(CHECKPOINT_MAGIC)]
         raise CheckpointError(f"bad checkpoint magic {magic!r} in {path!r}; expected {CHECKPOINT_MAGIC!r}")
-    try:
-        cfg, adam_fields, arrays = _parse_checkpoint(blob)
-    except CheckpointError:
-        raise
-    except (ValueError, KeyError, IndexError) as exc:  # UnicodeDecodeError is a ValueError
-        raise CheckpointError(f"malformed checkpoint header: {exc!r}") from None
-
-    model = build_model(cfg)
-    params = model.parameters()
-    opt = AdamOptimizer(params, beta1=adam_fields["beta1"], beta2=adam_fields["beta2"], eps=adam_fields["eps"])
-    opt.step_count = adam_fields["step"]
-    for name, p in params.items():
-        for kind, target in (("param", None), ("adam.m", opt.m), ("adam.v", opt.v)):
-            key = f"{kind}.{name}"
-            if key not in arrays:
-                raise CheckpointError(f"checkpoint is missing tensor {key}")
-            if arrays[key].shape != p.data.shape:
-                raise CheckpointError(
-                    f"shape mismatch for {key}: manifest {arrays[key].shape}, model {p.data.shape}"
-                )
-            if target is None:
-                p.data = arrays[key]
-            else:
-                target[name] = arrays[key]
-    if len(arrays) != 3 * len(params):
-        raise CheckpointError("checkpoint contains tensors unknown to this architecture")
-    return model, opt
-
-
-def _parse_checkpoint(blob: bytes) -> tuple[ModelConfig, dict, dict[str, np.ndarray]]:
-    """Model config, Adam fields and named arrays from a file that starts with the magic.
-
-    The length and the digest are checked before any array is read.
-    """
-    header_end = _find_data_line(blob)
-    lines = blob[len(CHECKPOINT_MAGIC) : header_end].decode("ascii").splitlines()
-    data_bytes = int(lines[-1].split()[1])
+    data_line = _DATA_LINE.search(blob)
+    if data_line is None or not data_line[1].isdigit():
+        raise CheckpointError("truncated checkpoint header: no 'data <bytes>' line")
+    header_end, data_bytes = data_line.end(), int(data_line[1])
     sealed = header_end + data_bytes
     if len(blob) != sealed + DIGEST_BYTES:
         problem = "truncated" if len(blob) < sealed + DIGEST_BYTES else "overlong"
@@ -373,47 +311,29 @@ def _parse_checkpoint(blob: bytes) -> tuple[ModelConfig, dict, dict[str, np.ndar
             f"{sealed + DIGEST_BYTES} bytes, found {len(blob)}"
         )
     if hashlib.sha256(memoryview(blob)[:sealed]).digest() != blob[sealed:]:
-        raise CheckpointError("checkpoint digest mismatch: the file is corrupt")
+        raise CheckpointError("checkpoint digest mismatch: the file is damaged")
+    try:
+        header = blob[len(CHECKPOINT_MAGIC) : header_end].decode("ascii").split("\n")
+        config = _header_fields(header[0])
+        h, w = config["input_size"].split("x")
+        ints = {f.name: int(config[f.name]) for f in dataclasses.fields(ModelConfig) if f.name != "input_size"}
+        cfg = ModelConfig(input_size=(int(h), int(w)), **ints)
+        step = int(_header_fields(header[1])["step"])
+    except (ValueError, KeyError) as exc:  # UnicodeDecodeError is a ValueError
+        raise CheckpointError(f"malformed checkpoint header: {exc!r}") from None
 
-    cfg_fields = _parse_kv(lines[0], "config")
-    names = [f.name for f in dataclasses.fields(ModelConfig)]
-    if list(cfg_fields) != names:
-        raise CheckpointError(f"config line names {list(cfg_fields)}, expected {names}")
-    h, w = cfg_fields.pop("input_size").split("x")
-    cfg = ModelConfig(input_size=(int(h), int(w)), **{k: int(v) for k, v in cfg_fields.items()})
-    raw_adam = _parse_kv(lines[1], "adam")
-    adam_fields = {key: float(raw_adam[key]) for key in ("beta1", "beta2", "eps")}
-    adam_fields["step"] = int(raw_adam["step"])
-    count_parts = lines[2].split()
-    if len(count_parts) != 2 or count_parts[0] != "tensors" or not count_parts[1].isdigit():
-        raise CheckpointError(f"malformed tensors line {lines[2]!r}")
-    n_tensors = int(count_parts[1])
-    if len(lines) != 3 + n_tensors + 1:
-        raise CheckpointError(f"manifest lists {n_tensors} tensors but header has {len(lines) - 4} entries")
-
-    arrays: dict[str, np.ndarray] = {}
-    for line in lines[3:-1]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise CheckpointError(f"malformed manifest entry {line!r}")
-        name, shape_str, offset_str = parts
-        shape = tuple(int(d) for d in shape_str.split("x"))
-        offset = int(offset_str)
-        count = int(np.prod(shape))
-        if offset < 0 or offset + 8 * count > data_bytes:
-            raise CheckpointError(f"manifest entry {name} overruns the data section")
-        arrays[name] = np.frombuffer(blob, dtype="<f8", count=count, offset=header_end + offset).reshape(shape).copy()
-    return cfg, adam_fields, arrays
-
-
-def _find_data_line(body: bytes) -> int:
-    """Byte offset where the raw data section starts (just past the data line)."""
-    pos = 0
-    while True:
-        nl = body.find(b"\n", pos)
-        if nl < 0:
-            raise CheckpointError("truncated checkpoint header")
-        line = body[pos : nl]
-        if line.startswith(b"data "):
-            return nl + 1
-        pos = nl + 1
+    model = build_model(cfg)
+    opt = AdamOptimizer(model.parameters())
+    opt.step_count = step
+    expected = _checkpoint_header(model, opt).decode("ascii").split("\n")
+    for found_line, expected_line in itertools.zip_longest(header, expected, fillvalue=""):
+        if found_line != expected_line:
+            raise CheckpointError(
+                f"checkpoint header line {found_line!r} should read {expected_line!r} for its config and Adam step"
+            )
+    data = np.frombuffer(blob, dtype="<f8", count=data_bytes // 8, offset=header_end)
+    start = 0
+    for arr in _checkpoint_entries(model, opt).values():
+        arr[...] = data[start : start + arr.size].reshape(arr.shape)
+        start += arr.size
+    return model, opt

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import filecmp
 import hashlib
@@ -10,11 +11,20 @@ import pytest
 
 from rainproto import cli
 from rainproto import data as dt
+from rainproto import numerics as nm
 from rainproto import trainer as tr
 from rainproto.cli import _resolve_train_config
 from rainproto.data import read_ppm, write_dataset, write_ppm
 from rainproto.derainnet import ModelConfig, build_model, desk_model_config, taped_step_bytes
 from rainproto.losses import LossConfig
+
+
+# every flag `train` accepts
+TRAIN_FLAGS = {
+    "-h", "--help", "--data", "--out", "--log", "--preset", "--config", "--steps", "--seed", "--learning-rate",
+    "--lr", "--batch-size", "--checkpoint-every", "--log-every", "--input-size", "--base-channels", "--depth",
+    "--prototype-count", "--lambda-a", "--delta", "--lambda-c", "--lambda-s", "--lambda-f",
+}
 
 
 def run(capsys, *argv):
@@ -77,6 +87,14 @@ class TestGenData:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("size", ["0", "-4", "3x0"])
+    def test_non_positive_size_is_usage_error(self, capsys, tmp_path, size):
+        code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "x"), "--scenes", "1", "--frames", "2",
+                           "--size", size)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_smoke_writes_artifacts(self, capsys, dataset_dir, tmp_path):
@@ -115,13 +133,30 @@ class TestTrain:
 
     def test_config_keys_mirror_fields_and_flags(self):
         fields = lambda cls: {f.name for f in dataclasses.fields(cls)}  # noqa: E731
-        assert set(cli._TRAIN_KEYS) == fields(tr.TrainConfig) - {"loss", "model"}
-        assert set(cli._MODEL_KEYS) == fields(ModelConfig) - {"seed"}
-        assert set(cli._LOSS_KEYS) == fields(LossConfig)
+        owners = {key: owner for key, (owner, _) in cli._SETTINGS.items()}
+        assert {k for k, o in owners.items() if o is tr.TrainConfig} == fields(tr.TrainConfig) - {"loss", "model"}
+        assert {k for k, o in owners.items() if o is ModelConfig} == fields(ModelConfig) - {"seed"}
+        assert {k for k, o in owners.items() if o is LossConfig} == fields(LossConfig)
         parser = cli._build_parser()
-        for key in (*cli._TRAIN_KEYS, *cli._MODEL_KEYS, *cli._LOSS_KEYS):
+        for key in cli._SETTINGS:
             args = parser.parse_args(["train", "--data", "x", "--out", "y", "--" + key.replace("_", "-"), "1"])
             assert getattr(args, key) is not None, key
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {s for a in subparsers.choices["train"]._actions for s in a.option_strings}
+        assert flags == TRAIN_FLAGS
+
+    def test_flags_and_config_keys_parse_alike(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("input_size = 16x8\nlearning_rate = 0.5\ndepth = 1\nlambda_s = 0.25\nseed = 3\n")
+        parser = cli._build_parser()
+        from_file = _resolve_train_config(
+            parser.parse_args(["train", "--data", "x", "--out", "y", "--config", str(cfg_file)]))
+        from_flags = _resolve_train_config(parser.parse_args(
+            ["train", "--data", "x", "--out", "y", "--input-size", "16x8", "--lr", "0.5", "--depth", "1",
+             "--lambda-s", "0.25", "--seed", "3"]))
+        assert from_file == from_flags
+        assert from_flags.model == ModelConfig(input_size=(16, 8), base_channels=8, depth=1, prototype_count=4, seed=3)
+        assert (from_flags.learning_rate, from_flags.loss.lambda_s) == (0.5, 0.25)
 
     def test_unknown_config_key_is_usage_error(self, capsys, dataset_dir, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
@@ -173,6 +208,16 @@ class TestTrain:
                            "--steps", "1")
         assert code == 2
         assert "16x16" in err
+
+    def test_mixed_size_scene_is_data_error(self, capsys, tmp_path):
+        ckpt = tmp_path / "m.ckpt"
+        code, out, err = run(capsys, "train", "--data", str(mixed_size_dataset(tmp_path)), "--out", str(ckpt),
+                             "--steps", "40")
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "frame_1.ppm is 16x16 but bg.ppm is 32x32" in err
+        assert out == ""
+        assert not ckpt.exists()
 
     def test_single_frame_scene_is_data_error(self, capsys, tmp_path):
         data = tmp_path / "one_frame"
@@ -268,6 +313,17 @@ class TestDerain:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_grayscale_input_is_data_error(self, capsys, untrained_ckpt, tmp_path):
+        src = tmp_path / "gray.pgm"
+        src.write_bytes(b"P5\n32 32\n255\n" + bytes(32 * 32))
+        clean = tmp_path / "c.ppm"
+        code, out, err = run(capsys, "derain", "--ckpt", str(untrained_ckpt), "--in", str(src),
+                             "--out-clean", str(clean), "--out-rain", str(tmp_path / "r.ppm"))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "unsupported magic 'P5'" in err
+        assert out == "" and not clean.exists()
+
     def test_non_ascii_header_is_data_error(self, capsys, dataset_dir, untrained_ckpt, tmp_path):
         raw = untrained_ckpt.read_bytes()
         at = raw.index(b"config ") + len(b"config ")
@@ -297,6 +353,14 @@ class TestDerain:
         assert out == ""
 
 
+def mixed_size_dataset(tmp_path):
+    """Two 32x32 scenes, the second with one frame rewritten at 16x16."""
+    data = tmp_path / "mixed"
+    write_dataset([dt.gen_scene(s, 32, 3, dt.RAIN_PRESETS["light"]) for s in (0, 1)], data)
+    write_ppm(data / "scenes" / "scene_000001" / "frame_1.ppm", np.zeros((16, 16, 3)))
+    return data
+
+
 def rspu1_bytes(raw: bytes) -> bytes:
     """The previous format's file for the untrained desk seed-0 model that ``raw`` holds:
     magic RSPU1, the config line with its two derived fields, no digest."""
@@ -317,6 +381,22 @@ class TestEval:
             _, pr, sr, pd, sd = line.split("\t")
             assert abs(float(pr) - float(pd)) < 0.05
             assert abs(float(sr) - float(sd)) < 0.005
+
+    def test_mixed_size_scene_is_data_error(self, capsys, untrained_ckpt, tmp_path):
+        code, out, err = run(capsys, "eval", "--ckpt", str(untrained_ckpt), "--data", str(mixed_size_dataset(tmp_path)))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "frame_1.ppm is 16x16 but bg.ppm is 32x32" in err
+        assert out == ""
+
+    def test_size_mismatch_is_data_error(self, capsys, untrained_ckpt, tmp_path):
+        small = tmp_path / "small"
+        write_dataset([dt.gen_scene(s, size, 2, dt.RAIN_PRESETS["light"]) for s, size in ((0, 32), (1, 16))], small)
+        code, out, err = run(capsys, "eval", "--ckpt", str(untrained_ckpt), "--data", str(small))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "scene_000001 is 16x16 but the model expects 32x32" in err
+        assert out == ""
 
     def test_rain_free_dataset_hits_sentinels(self, capsys, untrained_ckpt, tmp_path):
         # frames identical to the background: rainy PSNR is the inf sentinel, SSIM 1
@@ -342,7 +422,8 @@ class TestGradcheckCommand:
         assert code == 0
 
     def test_corrupted_derivative_detected(self, capsys, monkeypatch):
-        monkeypatch.setenv("RSPU_GRADCHECK_CORRUPT", "conv2d")
+        kernel_vjp = nm._conv_vjp_kernel
+        monkeypatch.setattr(nm, "_conv_vjp_kernel", lambda *args: 1.5 * kernel_vjp(*args))
         code, out, err = run(capsys, "gradcheck", "--seed", "0")
         assert code == 3
         assert "FAIL\tconv2d" in out

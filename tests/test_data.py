@@ -131,14 +131,6 @@ class TestPpm:
         back = read_ppm(path)
         assert np.abs(back - img).max() <= 1.0 / 255.0
 
-    def test_pgm_round_trip(self, tmp_path):
-        img = np.random.default_rng(2).uniform(0, 1, (5, 6))
-        path = tmp_path / "g.pgm"
-        write_ppm(path, img)
-        back = read_ppm(path)
-        assert back.shape == (5, 6)
-        assert np.abs(back - img).max() <= 1.0 / 255.0
-
     def test_writer_is_byte_deterministic(self, tmp_path):
         img = np.random.default_rng(3).uniform(0, 1, (6, 6, 3))
         p1, p2 = tmp_path / "a.ppm", tmp_path / "b.ppm"
@@ -156,9 +148,10 @@ class TestPpm:
 
     def test_unsupported_magic(self, tmp_path):
         path = tmp_path / "bad.ppm"
-        path.write_bytes(b"P7\n1 1\n255\n\x00\x00\x00")
-        with pytest.raises(PpmError, match="unsupported magic"):
-            read_ppm(path)
+        for magic in (b"P7", b"P5"):  # P5 is grayscale PGM
+            path.write_bytes(magic + b"\n1 1\n255\n\x00\x00\x00")
+            with pytest.raises(PpmError, match="unsupported magic"):
+                read_ppm(path)
 
     def test_truncated_data(self, tmp_path):
         path = tmp_path / "short.ppm"
@@ -198,6 +191,12 @@ class TestDatasetIo:
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(dt.DatasetError, match="manifest"):
+            dt.load_dataset(tmp_path)
+
+    def test_frame_shape_must_match_background(self, tmp_path):
+        dt.write_dataset([gen_scene(5, 16, 3, dt.RAIN_PRESETS["light"])], tmp_path)
+        write_ppm(tmp_path / "scenes" / "scene_000005" / "frame_1.ppm", np.zeros((8, 16, 3)))
+        with pytest.raises(dt.DatasetError, match="frame_1.ppm is 8x16 but bg.ppm is 16x16"):
             dt.load_dataset(tmp_path)
 
     def test_malformed_manifest(self, tmp_path):

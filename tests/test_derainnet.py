@@ -186,7 +186,7 @@ class TestPaperSizeMemory:
 
 class TestEndToEndGradients:
     def test_total_loss_gradients_on_16x16_instance(self):
-        result = _end_to_end_check(np.random.default_rng(123), corrupt=None)
+        result = _end_to_end_check(np.random.default_rng(123))
         assert result.passed, f"max rel err {result.max_rel_err:.3e}"
 
 

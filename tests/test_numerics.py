@@ -555,7 +555,7 @@ class TestGradientSweep:
     @pytest.mark.parametrize("seed", range(20))
     def test_all_operators(self, seed):
         rng = np.random.default_rng([seed, 0xA11])
-        for result in _elementary_checks(rng, (3, 4, 2), corrupt=None):
+        for result in _elementary_checks(rng, (3, 4, 2)):
             assert result.passed, f"{result.name}: max rel err {result.max_rel_err:.3e}"
 
 

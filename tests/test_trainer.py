@@ -264,7 +264,7 @@ class TestCheckpoint:
         corrupted = raw.replace(b"param.final.bias 3 ", b"param.final.bias 4 ", 1)
         assert corrupted != raw
         path.write_bytes(reseal(corrupted))
-        with pytest.raises(CheckpointError, match="shape mismatch"):
+        with pytest.raises(CheckpointError, match=r"'param\.final\.bias 4 \d+' should read 'param\.final\.bias 3 \d+'"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -293,6 +293,30 @@ class TestCheckpoint:
                     continue
                 loaded.append((i, value))
         assert not loaded, f"{len(loaded)} header mutants loaded, e.g. (offset, byte) {loaded[:5]}"
+
+    def test_resealed_header_mutants_are_refused_or_round_trip(self, tmp_path):
+        # every header byte after the magic, set to each of these values and
+        # resealed so that loading reaches the edit: a mutant either raises
+        # CheckpointError or loads to a state that saves back to its own bytes
+        path = tmp_path / "small.ckpt"
+        raw = small_checkpoint(path)
+        mutant = tmp_path / "mutant.ckpt"
+        resaved = tmp_path / "resaved.ckpt"
+        differs = []
+        for i in range(len(CHECKPOINT_MAGIC), header_end(raw)):
+            for value in b"0123456789 x\n\xff":
+                if raw[i] == value:
+                    continue
+                edited = reseal(raw[:i] + bytes([value]) + raw[i + 1 :])
+                mutant.write_bytes(edited)
+                try:
+                    model, opt = load_checkpoint(mutant)
+                except CheckpointError:
+                    continue
+                save_checkpoint(model, opt, resaved)
+                if resaved.read_bytes() != edited:
+                    differs.append((i, value))
+        assert not differs, f"{len(differs)} mutants loaded a different state, e.g. (offset, byte) {differs[:5]}"
 
     def test_data_and_digest_byte_fuzz_is_rejected(self, tmp_path):
         # spread offsets of the data section, then every digest byte, each
